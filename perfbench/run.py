@@ -119,7 +119,7 @@ def run_untraced(workload, args):
     p99, beyond = workloads.percentile(window.latencies, 0.99)
     values = {
         "setup_s": statistics.median(setups),
-        "jobs_per_s": workloads.throughput(window),
+        "jobs_per_s": len(window.latencies) / window.wall,
         "latency_p50_ms": 1000.0 * p50,
         "latency_p99_ms": 1000.0 * p99,
         "peak_rss_mb": window.peak_rss_mb,
@@ -135,13 +135,20 @@ def run_untraced(workload, args):
     ]
     if "kinds" in window.extra:
         report.append(f"  submissions by path: {window.extra['kinds']}")
+    if window.extra.get("rss_reset") is False:
+        report.append("  peak_rss_mb includes set-up: VmHWM could not be reset")
     return window, checked, values, report
 
 
 def run_traced(workload, args):
-    """Measure untraced, then traced from a fresh set-up; layer metrics."""
+    """Measure untraced, then traced from a fresh set-up; layer metrics.
+
+    Window metrics are per job completed in the traced window, set-up
+    metrics are totals over one set-up, and check metrics are per
+    kernel checked (see ``layers.py``).
+    """
     import layers
-    from spans import ENGINE_CALLS, Tracer, write_traces
+    from spans import SETUP_CALLS, Tracer, write_traces
 
     state = workload.setup(0)
     try:
@@ -155,7 +162,7 @@ def run_traced(workload, args):
     tracers = {phase: Tracer() for phase in ("setup", "window", "check")}
     state = None
     try:
-        tracers["setup"].install(ENGINE_CALLS)
+        tracers["setup"].install(SETUP_CALLS)
         began = time.perf_counter()
         try:
             state = workload.setup(1, tracers["setup"].wrap)
@@ -170,13 +177,20 @@ def run_traced(workload, args):
     finally:
         workload.teardown(state)
 
-    self_times: dict[str, float] = {}
-    for tracer in tracers.values():
-        for name, seconds in tracer.self_times().items():
-            self_times[name] = self_times.get(name, 0.0) + seconds
+    jobs = window.attempted
+    per_job = {
+        span: layers.ratio(seconds, jobs)
+        for span, seconds in tracers["window"].self_times().items()
+    }
+    setup_times = tracers["setup"].self_times()
+    check_times, checks = tracers["check"].self_times(), tracers["check"].calls()
     values = {
-        metric: self_times.get(span, 0.0)
-        for span, metric in layers.SPAN_METRICS.items()
+        **{m: per_job.get(span, 0.0) for span, m in layers.WINDOW_SPANS.items()},
+        **{m: setup_times.get(span, 0.0) for span, m in layers.SETUP_SPANS.items()},
+        **{
+            m: layers.ratio(check_times.get(span, 0.0), checks[span])
+            for span, m in layers.CHECK_SPANS.items()
+        },
     }
     # Two client threads share the served window: its wall is client-seconds.
     wall = window.extra.get("busy", window.wall)
@@ -189,17 +203,17 @@ def run_traced(workload, args):
     values.update(layers.serve_values(window))
     values.update(
         {
-            "runtime.gc_s": tracers["window"].gc_seconds,
-            "runtime.gc_gen2": tracers["window"].gc_gen2,
-            "schedule.attempts": calls["schedule.schedule"],
+            "runtime.gc_s": layers.ratio(tracers["window"].gc_seconds, jobs),
+            "runtime.gc_gen2": layers.ratio(tracers["window"].gc_gen2, jobs),
+            "schedule.attempts": layers.ratio(calls["schedule.schedule"], jobs),
             "schedule.fail_ratio": layers.ratio(
                 raised["schedule.schedule"], calls["schedule.schedule"]
             ),
-            "engine.cache_hit_ratio": layers.ratio(window.cache_hits, window.attempted),
+            "engine.cache_hit_ratio": layers.ratio(window.cache_hits, jobs),
             "engine.cache_entry_bytes": window.extra.get("entry_bytes", 0.0),
             "sim.kernels_rejected": checked.rejected,
             "obs.trace_overhead_ratio": layers.trace_overhead(plain, window),
-            "trace.unattributed_s": unattributed,
+            "trace.unattributed_s": layers.ratio(unattributed, jobs),
         }
     )
     OUT.mkdir(exist_ok=True)
@@ -208,7 +222,8 @@ def run_traced(workload, args):
     report = [
         f"  untraced window: {plain.attempted} jobs in {plain.wall:.3f} s; "
         f"traced: {window.attempted} jobs in {window.wall:.3f} s "
-        f"(overhead ratio {values['obs.trace_overhead_ratio']:.3f})",
+        f"(overhead ratio {values['obs.trace_overhead_ratio']:.3f}); "
+        f"window metrics below are per job, these totals over {jobs}",
         *rows,
         *setup_rows,
         *check_rows,

@@ -51,7 +51,7 @@ def _proc_table() -> dict[int, tuple[int, int, str]]:
     return table
 
 
-def _vm_hwm_kb(pid: int) -> int:
+def vm_hwm_kb(pid: int) -> int:
     try:
         with open(f"/proc/{pid}/status", encoding="ascii", errors="replace") as f:
             for line in f:
@@ -122,7 +122,7 @@ class ServerProcess:
                 child for child, (ppid, _, _) in table.items()
                 if ppid == pid and child not in tree
             )
-        return sum(_vm_hwm_kb(pid) for pid in tree) / 1024.0
+        return sum(vm_hwm_kb(pid) for pid in tree) / 1024.0
 
     def stop(self, timeout: float = 15.0) -> None:
         """SIGINT (graceful drain), then SIGKILL whatever is left of the
@@ -159,7 +159,6 @@ class Sample:
 
     kind: str
     cell: tuple
-    origin: float  # start of the window
     started: float
     submitted: float
     finished: float
@@ -174,10 +173,10 @@ class Stream:
     """The seeded submission sequence, shared by the client threads.
 
     Slot kinds are dealt from shuffled :data:`BLOCK` decks. A ``hit``
-    takes the next pre-stored cell (a ``dup`` once they run out), a
-    ``miss`` the next never-seen cell, a ``dup`` any cell submitted
-    earlier. The sequence depends on the seed only, whichever thread
-    takes each slot.
+    takes the next pre-stored cell, a ``miss`` the next never-seen cell
+    (either becomes a ``dup`` once its cells run out), a ``dup`` any
+    cell submitted earlier. The sequence depends on the seed only,
+    whichever thread takes each slot.
     """
 
     def __init__(self, seed: int, stored: list, fresh, make_job) -> None:
@@ -204,20 +203,24 @@ class Stream:
             if kind == "hit":
                 cell = self._stored.pop()
             elif kind == "miss":
-                cell = next(self._fresh)
-            else:
+                cell = next(self._fresh, None)
+                if cell is None:
+                    if not self._seen:
+                        raise RuntimeError("no cell left to submit")
+                    kind = "dup"
+            if kind == "dup":
                 cell = self._rng.choice(self._seen)
             self._seen.append(cell)
             self.kinds[kind] += 1
         return kind, cell, self._make_job(cell)
 
 
-def _one_job(calls, kind: str, cell: tuple, job, origin: float) -> Sample:
+def _one_job(calls, kind: str, cell: tuple, job) -> Sample:
     submit, events, status = calls
     started = time.perf_counter()
     code, payload = submit(job)
     submitted = time.perf_counter()
-    sample = Sample(kind, cell, origin, started, submitted, submitted, ok=False)
+    sample = Sample(kind, cell, started, submitted, submitted, ok=False)
     if code in (429, 503):
         sample.refused = True
         sample.error = f"HTTP {code}"
@@ -269,10 +272,10 @@ def drive(url: str, stream: Stream, seconds: float, milestone, tracer=None, clie
                 if tracer is not None:
                     tracer.begin_job()
                 try:
-                    sample = _one_job(calls, kind, cell, job, start)
+                    sample = _one_job(calls, kind, cell, job)
                 except (ServeError, OSError, ValueError, KeyError) as exc:
                     now = time.perf_counter()
-                    sample = Sample(kind, cell, start, begun, now, now, ok=False,
+                    sample = Sample(kind, cell, begun, now, now, ok=False,
                                     error=f"{type(exc).__name__}: {exc}")
                 mine.append(sample)
                 with lock:

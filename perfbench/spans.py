@@ -35,10 +35,16 @@ import time
 ENGINE_CALLS = (
     ("repro.engine.jobs", "CompileJob.content_hash", "engine.hash"),
     ("repro.engine.cache", "ResultCache.get", "engine.cache_get"),
+)
+
+#: Wrapped while set-up fills a store: the engine calls and the writes.
+SETUP_CALLS = ENGINE_CALLS + (
     ("repro.engine.cache", "ResultCache.put", "engine.cache_put"),
 )
 
 #: Every layer boundary wrapped during an in-process measurement window.
+#: Cache writes are left out: the window's cache is either off or
+#: already full, so a write there is engine overhead, not store work.
 WINDOW_CALLS = ENGINE_CALLS + (
     ("repro.pipeline.passes", "run_pass_pipeline", "pipeline.compile"),
     ("repro.pipeline.passes", "mii", "ddg.mii"),

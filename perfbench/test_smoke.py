@@ -8,6 +8,7 @@ with its unit, and pass its own output checks.
 
 from __future__ import annotations
 
+import collections
 import json
 import pathlib
 import shutil
@@ -66,6 +67,25 @@ def test_figures_depend_on_the_seed_alone():
         assert first[name]["value"] == again[name]["value"] == replayed[name]["value"]
     other = result_of(run("cold-compile", 0, seed=4))["metrics"]
     assert any(first[name]["value"] != other[name]["value"] for name in FIGURES)
+
+
+def test_served_stream_repeats_cells_once_new_ones_run_out(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import serve_load
+    import workloads
+
+    loops = workloads.generate_loops(1)
+    stored = next(workloads.rounds(5, loops))
+    fresh = list(workloads.fresh_cells(5, loops, stored))
+    every = {(i, *pair) for i in range(len(loops)) for pair in workloads.PAIRS}
+    assert len(fresh) == len(set(fresh)) and set(fresh) == every - set(stored)
+    stream = serve_load.Stream(5, stored, iter(fresh), lambda cell: cell)
+    dealt = [stream.next() for _ in range(4 * len(every))]
+    assert {cell for _, cell, _ in dealt} == every
+    kinds = collections.Counter(kind for kind, _, _ in dealt)
+    assert (kinds["hit"], kinds["miss"]) == (len(stored), len(fresh))
+    assert kinds["dup"] == len(dealt) - len(stored) - len(fresh)
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

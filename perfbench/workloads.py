@@ -29,11 +29,10 @@ import dataclasses
 import gc
 import itertools
 import math
+import os
 import pathlib
 import random
-import resource
 import shutil
-import statistics
 import time
 
 from repro.engine import CompileJob, EngineConfig, ResultCache, run_jobs
@@ -65,9 +64,6 @@ RECOMPILED_CELLS = 24
 #: ``peak_rss_mb`` is read once this many jobs have completed, so that
 #: it measures a fixed amount of work whatever the machine's speed.
 RSS_AFTER_JOBS = 1000
-#: ``jobs_per_s`` is the median throughput of this many equal slices of
-#: the window, so a transient stall of the machine moves it less.
-SLICES = 5
 
 
 def _untraced(_name: str, fn):
@@ -89,7 +85,7 @@ def draw_round(rng: random.Random, loops: list, sizes: list[int]) -> list[tuple]
     spans all sizes: the size-sorted cells are cut into strata of 18
     and the round takes one cell of every stratum in turn. A window that
     ends inside a round has still seen its share of the heavy tail,
-    which steadies throughput and p99 across seeds.
+    which narrows the spread of p99 across seeds.
     """
     by_benchmark = collections.defaultdict(list)
     for index, loop in enumerate(loops):
@@ -125,14 +121,21 @@ def rounds(seed: int, loops: list):
 
 
 def fresh_cells(seed: int, loops: list, exclude):
-    """Cells of rounds 1, 2, ... that are not in ``exclude``, each once."""
+    """Cells of rounds 1, 2, ... that are not in ``exclude``, each once.
+
+    Ends once every (loop, machine, scheme) cell has been seen.
+    """
     seen = set(exclude)
+    total = len(loops) * len(PAIRS)
     later = rounds(seed, loops)
     next(later)
-    for cell in itertools.chain.from_iterable(later):
-        if cell not in seen:
-            seen.add(cell)
-            yield cell
+    for cells in later:
+        if len(seen) >= total:
+            return
+        for cell in cells:
+            if cell not in seen:
+                seen.add(cell)
+                yield cell
 
 
 def make_job(loops: list, cell: tuple) -> CompileJob:
@@ -236,7 +239,6 @@ class Window:
     """What one measurement window produced."""
 
     latencies: list[float]
-    finished: list[float]  # completion times, seconds into the window
     wall: float
     attempted: int
     failures: list[str]
@@ -256,19 +258,18 @@ class Checked:
     figures: dict[str, float]
 
 
+def reset_peak_rss() -> bool:
+    """Lower this process's VmHWM to its current RSS; False if refused."""
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
 def _process_peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def throughput(window: Window) -> float:
-    """Median jobs per second over :data:`SLICES` equal slices of the window."""
-    if window.wall <= 0:
-        return 0.0
-    width = window.wall / SLICES
-    counts = collections.Counter(
-        min(int(at / width), SLICES - 1) for at in window.finished
-    )
-    return statistics.median(counts[index] / width for index in range(SLICES))
+    return serve_load.vm_hwm_kb(os.getpid()) / 1024.0
 
 
 class Workload:
@@ -293,12 +294,14 @@ class InProcess(Workload):
     def _measure(self, loops, cells, config, seconds, tracer, keep) -> Window:
         run = tracer.wrap("engine.run_jobs", run_jobs) if tracer else run_jobs
         latencies: list[float] = []
-        finished: list[float] = []
         peak_rss = 0.0
         failures: list[str] = []
         compiled: list = []
         hits = 0
         gc.collect()
+        # The window's peak, not set-up's: the store fill holds every
+        # result it compiled until ``settle``.
+        rss_reset = reset_peak_rss()
         if tracer is not None:
             tracer.install(WINDOW_CALLS)
         try:
@@ -313,8 +316,7 @@ class InProcess(Workload):
                 result = run([job], config)[0]
                 end = time.perf_counter()
                 latencies.append(end - began)
-                finished.append(end - start)
-                if len(finished) == RSS_AFTER_JOBS:
+                if len(latencies) == RSS_AFTER_JOBS:
                     peak_rss = _process_peak_rss_mb()
                 if result.ok:
                     keep(cell, result.result)
@@ -334,7 +336,6 @@ class InProcess(Workload):
                 tracer.uninstall()
         return Window(
             latencies=latencies,
-            finished=finished,
             wall=end - start,
             attempted=len(latencies),
             failures=failures,
@@ -342,6 +343,7 @@ class InProcess(Workload):
             compiled=compiled,
             cache_hits=hits,
             peak_rss_mb=peak_rss or _process_peak_rss_mb(),
+            extra={"rss_reset": rss_reset},
         )
 
 
@@ -508,7 +510,6 @@ class ServeMixed(Workload):
         done = [s for s in samples if s.ok]
         window = Window(
             latencies=[s.finished - s.started for s in done],
-            finished=[s.finished - s.origin for s in done],
             wall=wall,
             attempted=len(samples),
             failures=[

@@ -205,8 +205,6 @@ class Stream:
             elif kind == "miss":
                 cell = next(self._fresh, None)
                 if cell is None:
-                    if not self._seen:
-                        raise RuntimeError("no cell left to submit")
                     kind = "dup"
             if kind == "dup":
                 cell = self._rng.choice(self._seen)

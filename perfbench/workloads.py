@@ -16,8 +16,8 @@ those figures depend on the seed alone.
   replays round 0 in seeded orders, one ``run_jobs`` call per job,
   keeping the latest result of every cell alive as a figure
   regeneration would.
-* ``serve-mixed`` pre-stores round 0 and a quarter round more in a
-  server's data directory, boots ``python -m repro serve`` on it and
+* ``serve-mixed`` pre-stores round 0 and two thirds of a round more in
+  a server's data directory, boots ``python -m repro serve`` on it and
   drives it with two closed-loop clients (see :mod:`serve_load`); new
   submissions come from the later rounds.
 """
@@ -463,10 +463,11 @@ class ServeMixed(Workload):
     def setup(self, rep: int, span=_untraced) -> dict:
         loops = generate_loops(self.limit, span)
         cells = next(rounds(self.seed, loops))
-        # Round 0 plus a quarter round more, so that a third of the
-        # submissions can stay pre-stored hits for the whole window.
+        # Round 0 plus two thirds of a round more (1130 cells), so that a
+        # third of the submissions stay pre-stored hits through a 20 s
+        # window at up to about 170 submissions per second.
         stored = cells + list(
-            itertools.islice(fresh_cells(self.seed, loops, cells), len(cells) // 4)
+            itertools.islice(fresh_cells(self.seed, loops, cells), 2 * len(cells) // 3)
         )
         data_dir = self.run_dir / f"serve-{rep}"
         results = fill_store(loops, stored, data_dir)

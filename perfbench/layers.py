@@ -99,7 +99,8 @@ def counter_values(compiled: list) -> tuple[dict[str, float], list[str]]:
 def serve_values(window) -> dict[str, float]:
     """Client-side serve metrics, split by the path each job took.
 
-    Refusals and the server's job records are counted per submission.
+    Times are at reference host speed (the window's mean). Refusals and
+    the server's job records are counted per submission.
     """
     samples = window.extra.get("samples", [])
     done = [s for s in samples if s.ok]
@@ -107,7 +108,7 @@ def serve_values(window) -> dict[str, float]:
 
     def p50_ms(values) -> float:
         values = list(values)
-        return 1000.0 * statistics.median(values) if values else 0.0
+        return 1000.0 * window.speed * statistics.median(values) if values else 0.0
 
     def round_trips(kind: str):
         return (s.finished - s.started for s in done if s.kind == kind)
@@ -137,17 +138,21 @@ def serve_values(window) -> dict[str, float]:
 
 
 def trace_overhead(plain, traced) -> float:
-    """Traced wall time over untraced wall time for the same work.
+    """Traced wall time over untraced wall time for the same work, both
+    at reference host speed.
 
     In-process windows run the same cells in the same order, so the
     common prefix of jobs is compared; the served window is compared by
     throughput, since two clients interleave its jobs.
     """
     if "samples" in traced.extra:
-        plain_rate = ratio(plain.attempted, plain.wall)
-        return ratio(plain_rate, ratio(traced.attempted, traced.wall))
+        plain_rate = ratio(plain.attempted, plain.reference_wall)
+        return ratio(plain_rate, ratio(traced.attempted, traced.reference_wall))
     common = min(len(plain.latencies), len(traced.latencies))
-    return ratio(sum(traced.latencies[:common]), sum(plain.latencies[:common]))
+    return ratio(
+        sum(traced.reference_latencies()[:common]),
+        sum(plain.reference_latencies()[:common]),
+    )
 
 
 def attribution(tracer, wall: float, label: str) -> tuple[list[str], float]:

@@ -10,7 +10,10 @@ from this one process, with at most two client threads, and is sized
 for a machine with two CPUs.
 
 ``--trace 0`` measures with nothing wrapped and prints the end-to-end
-metrics declared in ``BENCHMARK.json``. ``--trace 1`` runs the workload
+metrics declared in ``BENCHMARK.json``. Timings are reported at a fixed
+reference host speed, so that a shared host's drifting speed is divided
+out (``hostspeed.py``); the report on standard error also gives them as
+measured. ``--trace 1`` runs the workload
 twice, untraced and then with span wrappers around every layer call
 (``spans.py``), and prints the per-layer metrics. The last line of
 standard output is one JSON object with the keys ``correct``,
@@ -38,6 +41,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+import hostspeed
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -97,41 +102,53 @@ def run_untraced(workload, args):
 
     Each set-up starts a fresh interpreter that imports the program (the
     measuring process imported it once already), then generates loops
-    and fills the workload's store or boots its server.
+    and fills the workload's store or boots its server. Every timing is
+    reported at reference host speed (see ``hostspeed.py``).
     """
     import workloads
 
-    setups, imports, state = [], [], None
+    setups, raw, imports, speeds, state = [], [], [], [], None
     try:
         for rep in range(SETUP_REPEATS):
             workload.teardown(state)
             state = None
-            imports.append(time_imports())
-            began = time.perf_counter()
-            state = workload.setup(rep)
-            setups.append(imports[-1] + time.perf_counter() - began)
+            with hostspeed.Background() as host:
+                hostspeed.bracket(host)
+                began = time.perf_counter()
+                imports.append(time_imports())
+                state = workload.setup(rep)
+                raw.append(time.perf_counter() - began)
+                hostspeed.bracket(host)
+            speeds.append(host.mean())
+            setups.append(raw[-1] * speeds[-1])
             workload.settle(state)
         window = workload.window(state, args.seconds)
         checked = workload.check(state, window)
     finally:
         workload.teardown(state)
-    p50, _ = workloads.percentile(window.latencies, 0.50)
-    p99, beyond = workloads.percentile(window.latencies, 0.99)
+    latencies = window.reference_latencies()
+    p50, _ = workloads.percentile(latencies, 0.50)
+    p99, beyond = workloads.percentile(latencies, 0.99)
     values = {
         "setup_s": statistics.median(setups),
-        "jobs_per_s": len(window.latencies) / window.wall,
+        "jobs_per_s": len(latencies) / window.reference_wall,
         "latency_p50_ms": 1000.0 * p50,
         "latency_p99_ms": 1000.0 * p99,
         "peak_rss_mb": window.peak_rss_mb,
         **checked.figures,
     }
+    raw_p50, _ = workloads.percentile(window.latencies, 0.50)
+    raw_p99, _ = workloads.percentile(window.latencies, 0.99)
     report = [
-        "  set-up: " + ", ".join(
-            f"{total:.3f} s (imports {imported:.3f})"
-            for total, imported in zip(setups, imports)
+        "  set-up as measured: " + ", ".join(
+            f"{total:.3f} s (imports {imported:.3f}, host speed {speed:.3f})"
+            for total, imported, speed in zip(raw, imports, speeds)
         ),
         f"  window: {window.attempted} jobs in {window.wall:.3f} s; "
         f"{len(window.latencies)} latency samples, {beyond} beyond p99",
+        f"  window as measured: {len(latencies) / window.wall:.2f} jobs/s, "
+        f"p50 {1000 * raw_p50:.3f} ms, p99 {1000 * raw_p99:.3f} ms; "
+        f"mean host speed {window.speed:.3f}",
     ]
     if "kinds" in window.extra:
         report.append(f"  submissions by path: {window.extra['kinds']}")
@@ -145,7 +162,9 @@ def run_traced(workload, args):
 
     Window metrics are per job completed in the traced window, set-up
     metrics are totals over one set-up, and check metrics are per
-    kernel checked (see ``layers.py``).
+    kernel checked (see ``layers.py``). Their seconds are at reference
+    host speed, like the end-to-end timings; the attribution report
+    shows them as measured.
     """
     import layers
     from spans import SETUP_CALLS, Tracer, write_traces
@@ -162,33 +181,41 @@ def run_traced(workload, args):
     tracers = {phase: Tracer() for phase in ("setup", "window", "check")}
     state = None
     try:
-        tracers["setup"].install(SETUP_CALLS)
-        began = time.perf_counter()
-        try:
-            state = workload.setup(1, tracers["setup"].wrap)
-        finally:
-            tracers["setup"].uninstall()
-        setup_wall = time.perf_counter() - began
+        with hostspeed.Background() as setup_host:
+            hostspeed.bracket(setup_host)
+            tracers["setup"].install(SETUP_CALLS)
+            began = time.perf_counter()
+            try:
+                state = workload.setup(1, tracers["setup"].wrap)
+            finally:
+                tracers["setup"].uninstall()
+            setup_wall = time.perf_counter() - began
+            hostspeed.bracket(setup_host)
         workload.settle(state)
         window = workload.window(state, args.seconds, tracers["window"])
-        began = time.perf_counter()
-        checked = workload.check(state, window, tracers["check"].wrap)
-        check_wall = time.perf_counter() - began
+        with hostspeed.Background() as check_host:
+            began = time.perf_counter()
+            checked = workload.check(state, window, tracers["check"].wrap)
+            check_wall = time.perf_counter() - began
     finally:
         workload.teardown(state)
 
     jobs = window.attempted
+    at_setup, at_check = setup_host.mean(), check_host.mean()
     per_job = {
-        span: layers.ratio(seconds, jobs)
+        span: window.speed * layers.ratio(seconds, jobs)
         for span, seconds in tracers["window"].self_times().items()
     }
     setup_times = tracers["setup"].self_times()
     check_times, checks = tracers["check"].self_times(), tracers["check"].calls()
     values = {
         **{m: per_job.get(span, 0.0) for span, m in layers.WINDOW_SPANS.items()},
-        **{m: setup_times.get(span, 0.0) for span, m in layers.SETUP_SPANS.items()},
         **{
-            m: layers.ratio(check_times.get(span, 0.0), checks[span])
+            m: at_setup * setup_times.get(span, 0.0)
+            for span, m in layers.SETUP_SPANS.items()
+        },
+        **{
+            m: at_check * layers.ratio(check_times.get(span, 0.0), checks[span])
             for span, m in layers.CHECK_SPANS.items()
         },
     }
@@ -203,7 +230,7 @@ def run_traced(workload, args):
     values.update(layers.serve_values(window))
     values.update(
         {
-            "runtime.gc_s": layers.ratio(tracers["window"].gc_seconds, jobs),
+            "runtime.gc_s": window.speed * layers.ratio(tracers["window"].gc_seconds, jobs),
             "runtime.gc_gen2": layers.ratio(tracers["window"].gc_gen2, jobs),
             "schedule.attempts": layers.ratio(calls["schedule.schedule"], jobs),
             "schedule.fail_ratio": layers.ratio(
@@ -213,7 +240,7 @@ def run_traced(workload, args):
             "engine.cache_entry_bytes": window.extra.get("entry_bytes", 0.0),
             "sim.kernels_rejected": checked.rejected,
             "obs.trace_overhead_ratio": layers.trace_overhead(plain, window),
-            "trace.unattributed_s": layers.ratio(unattributed, jobs),
+            "trace.unattributed_s": window.speed * layers.ratio(unattributed, jobs),
         }
     )
     OUT.mkdir(exist_ok=True)
@@ -223,7 +250,9 @@ def run_traced(workload, args):
         f"  untraced window: {plain.attempted} jobs in {plain.wall:.3f} s; "
         f"traced: {window.attempted} jobs in {window.wall:.3f} s "
         f"(overhead ratio {values['obs.trace_overhead_ratio']:.3f}); "
-        f"window metrics below are per job, these totals over {jobs}",
+        f"window metrics below are per job, these totals over {jobs}; "
+        f"mean host speed: set-up {at_setup:.3f}, window {window.speed:.3f}, "
+        f"checks {at_check:.3f}",
         *rows,
         *setup_rows,
         *check_rows,

@@ -88,6 +88,27 @@ def test_served_stream_repeats_cells_once_new_ones_run_out(monkeypatch):
     assert kinds["dup"] == len(dealt) - len(stored) - len(fresh)
 
 
+def test_host_speed_rates_a_job_by_the_samples_around_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import hostspeed
+
+    samples = hostspeed.Samples()
+    assert samples.mean() == 1.0
+    times = []
+    for factor in (0.5, 1.0, 2.0):
+        unit = hostspeed.REFERENCE_S / factor
+        monkeypatch.setattr(hostspeed, "unit_seconds", lambda unit=unit: unit)
+        times.append(samples.take())
+    rate = samples.rater()
+    assert samples.mean() == pytest.approx(3.5 / 3)
+    assert rate(times[1], times[2]) == pytest.approx(1.5)
+    # No sample inside: the nearest one rates the interval.
+    assert rate(times[0] - 5, times[0] - 4) == pytest.approx(0.5)
+    assert rate(times[2] + 4, times[2] + 5) == pytest.approx(2.0)
+    just_after = times[1] + 1e-9
+    assert rate(just_after, just_after) == pytest.approx(1.0)
+
+
 def test_refuses_to_run_without_the_program(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(

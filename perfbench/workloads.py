@@ -48,6 +48,7 @@ from repro.serve.client import ServeClient
 from repro.sim import VerificationError, simulate, verify_kernel
 from repro.workloads.specfp import BENCHMARK_ORDER, benchmark_loops
 
+import hostspeed
 import serve_load
 from spans import WINDOW_CALLS
 
@@ -236,7 +237,13 @@ def recompile(loops: list, cells: list) -> dict:
 
 @dataclasses.dataclass
 class Window:
-    """What one measurement window produced."""
+    """What one measurement window produced.
+
+    ``wall`` leaves out the time spent sampling host speed. ``speeds``
+    holds the host's speed while each job ran, ``speed`` its mean over
+    the window, and ``reference_wall`` is ``wall`` at reference speed
+    (see :mod:`hostspeed`).
+    """
 
     latencies: list[float]
     wall: float
@@ -244,9 +251,16 @@ class Window:
     failures: list[str]
     kept: list  # (cell, CompileResult) pairs held for the checks
     compiled: list  # CompileResults compiled inside the window
+    speeds: list[float]
+    speed: float
+    reference_wall: float
     cache_hits: int = 0
     peak_rss_mb: float = 0.0
     extra: dict = dataclasses.field(default_factory=dict)
+
+    def reference_latencies(self) -> list[float]:
+        """Job latencies at reference speed."""
+        return [latency * speed for latency, speed in zip(self.latencies, self.speeds)]
 
 
 @dataclasses.dataclass
@@ -294,10 +308,13 @@ class InProcess(Workload):
     def _measure(self, loops, cells, config, seconds, tracer, keep) -> Window:
         run = tracer.wrap("engine.run_jobs", run_jobs) if tracer else run_jobs
         latencies: list[float] = []
+        starts: list[float] = []
         peak_rss = 0.0
         failures: list[str] = []
         compiled: list = []
         hits = 0
+        samples = hostspeed.Samples()
+        sampling = 0.0
         gc.collect()
         # The window's peak, not set-up's: the store fill holds every
         # result it compiled until ``settle``.
@@ -307,8 +324,14 @@ class InProcess(Workload):
         try:
             start = time.perf_counter()
             deadline = start + seconds
-            end = start
+            end = due = start
             for cell in cells:
+                # Sampled between jobs, on the thread and vCPU that runs them.
+                now = time.perf_counter()
+                if now >= due:
+                    due = samples.take()
+                    sampling += due - now
+                    due += hostspeed.INTERVAL_S
                 job = make_job(loops, cell)
                 if tracer is not None:
                     tracer.begin_job()
@@ -316,6 +339,7 @@ class InProcess(Workload):
                 result = run([job], config)[0]
                 end = time.perf_counter()
                 latencies.append(end - began)
+                starts.append(began)
                 if len(latencies) == RSS_AFTER_JOBS:
                     peak_rss = _process_peak_rss_mb()
                 if result.ok:
@@ -334,13 +358,26 @@ class InProcess(Workload):
         finally:
             if tracer is not None:
                 tracer.uninstall()
+        samples.take()
+        near = samples.near()
+        speeds = [near(b, b + t) for b, t in zip(starts, latencies)]
+        wall = end - start - sampling
+        # Jobs run one after another: each at the speed it ran at, the
+        # harness between them at the window's mean.
+        between = wall - sum(latencies)
         return Window(
             latencies=latencies,
-            wall=end - start,
+            wall=wall,
             attempted=len(latencies),
             failures=failures,
             kept=[],
             compiled=compiled,
+            speeds=speeds,
+            speed=samples.mean(),
+            reference_wall=(
+                sum(t * v for t, v in zip(latencies, speeds))
+                + between * samples.mean()
+            ),
             cache_hits=hits,
             peak_rss_mb=peak_rss or _process_peak_rss_mb(),
             extra={"rss_reset": rss_reset},
@@ -497,18 +534,26 @@ class ServeMixed(Workload):
             lambda cell: make_job(loops, cell),
         )
         gc.collect()
+        # The clients are load, not the program under test: keep this
+        # process's collector off the loops and set-up results it holds
+        # (a single pass over them stalled both clients for 0.4 s).
+        gc.freeze()
         if tracer is not None:
             tracer.install(())
         try:
             milestone = (RSS_AFTER_JOBS, server.peak_rss_mb)
-            samples, wall, busy, peak_rss = serve_load.drive(
-                server.url, stream, seconds, milestone, tracer
-            )
+            # The server's processes move over every CPU: sample them all.
+            with hostspeed.Background() as host:
+                samples, wall, busy, peak_rss = serve_load.drive(
+                    server.url, stream, seconds, milestone, tracer
+                )
         finally:
             if tracer is not None:
                 tracer.uninstall()
+            gc.unfreeze()
         stats = ServeClient(server.url, client_id="perfbench-stats").stats()
         done = [s for s in samples if s.ok]
+        near = host.near()
         window = Window(
             latencies=[s.finished - s.started for s in done],
             wall=wall,
@@ -520,6 +565,9 @@ class ServeMixed(Workload):
             ],
             kept=[],
             compiled=[],
+            speeds=[near(s.started, s.finished) for s in done],
+            speed=host.mean(),
+            reference_wall=wall * host.mean(),
             cache_hits=sum(1 for s in done if s.payload.get("cached")),
             peak_rss_mb=peak_rss or server.peak_rss_mb(),
             extra={

@@ -16,11 +16,11 @@ Commands:
 * ``trace`` — record a traced run of any other command, or analyse
   existing trace files: flame summaries, per-stage histograms, trace
   diffs, Chrome trace-event JSON for Perfetto / ``chrome://tracing``.
-* ``serve`` — run the compilation service: an HTTP/JSON API over a
-  sharded, replicated result cache (``--smoke`` boots an ephemeral
-  server and verifies one job end-to-end).
+* ``serve`` — run the compilation service: an HTTP/JSON API over the
+  persistent result cache (``--smoke`` boots an ephemeral server and
+  verifies one job end-to-end).
 * ``top`` — live text dashboard for a running server (jobs/s, queue
-  depth, request-latency percentiles, cache hit rate, shard health).
+  depth, request-latency percentiles, cache hit rate).
 * ``cache`` — inspect or clear the persistent result cache
   (``stats``, ``clear``, ``path``).
 
@@ -34,7 +34,7 @@ Examples::
     python -m repro trace --summary --record -- bench --jobs 4
     python -m repro trace run.jsonl --chrome run.chrome.json
     python -m repro trace --diff before.jsonl after.jsonl
-    python -m repro serve --port 8774 --shards 3 --replication 2
+    python -m repro serve --port 8774 --data-dir /var/lib/repro
     python -m repro serve --smoke
     python -m repro cache stats
 """
@@ -619,9 +619,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        shards=args.shards,
-        replication=args.replication,
-        vnodes=args.vnodes,
         data_dir=args.data_dir,
         executor=args.executor,
         workers=args.workers,
@@ -642,18 +639,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         log.info(
             "listening",
             url=server.url,
-            shards=config.shards,
-            replication=cache.ring.replication,
             executor=config.executor,
             workers=config.workers,
             data=str(config.resolved_data_dir()),
         )
         try:
-            while True:
-                await asyncio.sleep(args.sweep_interval or 3600)
-                if args.sweep_interval:
-                    report = cache.sweep()
-                    log.info("anti-entropy sweep", summary=report.summary())
+            await asyncio.Event().wait()  # serve until SIGINT cancels us
         except asyncio.CancelledError:
             pass
         finally:
@@ -928,32 +919,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="HTTP compilation service over a sharded, replicated cache",
+        help="HTTP compilation service over the persistent result cache",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8774)
     p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="result-cache shards (default: 1 = the local cache layout)",
-    )
-    p.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        help="replicas kept per entry (clamped to --shards)",
-    )
-    p.add_argument(
-        "--vnodes",
-        type=int,
-        default=16,
-        help="virtual ring points per shard (default: 16)",
-    )
-    p.add_argument(
         "--data-dir",
         default=None,
-        help="shard store root (default: the local cache root)",
+        help="result cache directory (default: the local cache root)",
     )
     p.add_argument(
         "--executor",
@@ -986,13 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-flight jobs allowed per client id (default: 16)",
     )
     p.add_argument(
-        "--sweep-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run a Merkle anti-entropy sweep every SECONDS",
-    )
-    p.add_argument(
         "--events",
         default=None,
         metavar="FILE",
@@ -1001,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="boot an ephemeral 1-shard server, verify one job, exit",
+        help="boot an ephemeral server, verify one job, exit",
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress --smoke progress output"

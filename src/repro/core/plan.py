@@ -22,7 +22,9 @@ class ReplicationPlan:
     """Replication decisions for one loop at one II.
 
     Attributes:
-        replicas: original uid -> clusters where a replica was created.
+        replicas: original uid -> clusters where a replica was created;
+            never the node's home cluster (a removed original needed
+            there again is revived, dropping it from ``removed``).
         removed: original uids whose home-cluster instance was removed.
         removed_comms: producer uids whose communication was eliminated.
         initial_coms: communications implied by the partition before

@@ -230,6 +230,25 @@ class ReplicationState:
                     self._active.discard(uid)
         return frozenset(flipped)
 
+    def _grant(self, uid: int, clusters: set[int]) -> set[int]:
+        """Give ``uid`` an instance in every cluster of ``clusters``.
+
+        An instance wanted back in the home cluster of a removed original
+        revives the original instead of becoming a replica there, so
+        ``replicas`` never names a node's home cluster. Returns the
+        clusters that gained an instance.
+        """
+        fresh = set(clusters) - self._present[uid]
+        home = self._home[uid]
+        if home in fresh:
+            self.removed.discard(uid)
+        foreign = set(clusters) - {home}
+        if foreign:
+            self.replicas.setdefault(uid, set()).update(foreign)
+        for cluster in fresh:
+            self._add_presence(uid, cluster)
+        return fresh
+
     def add_replicas(self, uid: int, clusters: set[int]) -> None:
         """Record replicas outside the ``apply`` flow.
 
@@ -237,12 +256,7 @@ class ReplicationState:
         variant), which replicate into specific clusters without
         eliminating a communication.
         """
-        if not clusters:
-            return
-        fresh = set(clusters) - self._present[uid]
-        self.replicas.setdefault(uid, set()).update(clusters)
-        for cluster in fresh:
-            self._add_presence(uid, cluster)
+        fresh = self._grant(uid, clusters)
         if fresh:
             self._refresh_active({uid, *self._reg_parents[uid]})
 
@@ -267,14 +281,10 @@ class ReplicationState:
         touched: set[int] = set()
 
         for uid, clusters in needed.items():
-            if not clusters:
-                continue
-            fresh = set(clusters) - self._present[uid]
-            self.replicas.setdefault(uid, set()).update(clusters)
-            for cluster in fresh:
-                self._add_presence(uid, cluster)
+            fresh = self._grant(uid, clusters)
+            if fresh:
                 changed.add(uid)
-                touched.add(cluster)
+                touched.update(fresh)
 
         self.removed_comms.add(comm)
         for uid in removable:
@@ -282,9 +292,7 @@ class ReplicationState:
                 continue
             self.removed.add(uid)
             home = self._home[uid]
-            if home in self._present[uid] and home not in self.replicas.get(
-                uid, ()
-            ):
+            if home in self._present[uid]:
                 self._drop_presence(uid, home)
                 changed.add(uid)
                 touched.add(home)

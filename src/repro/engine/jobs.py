@@ -47,7 +47,10 @@ from repro.pipeline.driver import (
 #: (``partition.moves.plain``, ``partition.moves.replicate``, their
 #: accepted/rejected splits and ``partition.moves.replicas_surviving``)
 #: from the replication-aware partitioning engine.
-ENGINE_SCHEMA_VERSION = 6
+#: v7: a plan never lists a replica in the node's home cluster; a
+#: removed original needed there again is revived instead, which
+#: rewrites the plans of the cells that hit that case.
+ENGINE_SCHEMA_VERSION = 7
 
 
 def resolve_machine(name: str) -> MachineConfig:

@@ -6,8 +6,9 @@ HTTP front end and the existing engine machinery. Per submission it:
 1. dedupes on the job's content hash — resubmitting a known key
    attaches to the in-flight (or finished) record instead of compiling
    twice;
-2. consults the sharded result cache — a hit is terminal immediately
-   and bypasses admission (it consumes no compile capacity);
+2. consults the :class:`~repro.engine.cache.ResultCache` — a hit is
+   terminal immediately and bypasses admission (it consumes no compile
+   capacity);
 3. otherwise asks the :class:`~repro.serve.admission.AdmissionController`
    for a slot (the HTTP layer turns a refusal into 429/503) and
    schedules the compile on a persistent executor — a
@@ -33,6 +34,7 @@ import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.engine.cache import ResultCache
 from repro.engine.events import Event, EventBus, EventKind
 from repro.engine.executor import (
     event_for_result,
@@ -118,8 +120,8 @@ class JobManager:
     """Owns job records, the executor pool, and event fan-out.
 
     Args:
-        cache: result store — a :class:`~repro.serve.shards.ShardedCache`
-            or any ``ResultCache``-compatible object.
+        cache: the result store; hits are served from it and every
+            successful compile is written back to it.
         admission: slot controller shared with the HTTP layer.
         executor: ``"thread"`` (hermetic, in-process) or ``"process"``
             (the engine's ProcessPoolExecutor worker path).
@@ -132,7 +134,7 @@ class JobManager:
 
     def __init__(
         self,
-        cache,
+        cache: ResultCache,
         admission: AdmissionController | None = None,
         executor: str = "thread",
         workers: int = 2,

@@ -16,8 +16,8 @@ install. Endpoints:
 * ``GET /jobs/<key>/events`` — the job's engine event stream as NDJSON:
   full history first, then live events until the job is terminal.
 * ``GET /healthz`` — liveness (+ drain state).
-* ``GET /stats`` — queue depth, shard/cache stats, and a typed metrics
-  export (histograms keep their buckets and carry p50/p95/p99).
+* ``GET /stats`` — job counts, queue depth, cache stats, and a typed
+  metrics export (histograms keep their buckets and carry p50/p95/p99).
 * ``GET /metrics`` — the same registry in Prometheus text exposition
   format (see :mod:`repro.obs.prometheus`), scrapable by any
   Prometheus-compatible collector.
@@ -31,6 +31,12 @@ under the ``serve.http`` metrics scope whether or not tracing is on.
 
 Clients identify themselves with the ``X-Repro-Client`` header (used
 for per-client in-flight caps); anonymous requests share one bucket.
+
+Job keys are the 64-hex-digit content hashes the engine computes; any
+other key is refused with 400 before it can reach the cache, whose
+entry paths are built from it. Malformed framing (a bad
+``Content-Length``, a request or header line over the stream limit) is
+a 400 as well.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ import asyncio
 import dataclasses
 import json
 import pathlib
+import re
 import time
 
-from repro.engine.cache import cache_root
+from repro.engine.cache import ResultCache, cache_root
 from repro.engine.events import EventBus
 from repro.obs import spans as obs
 from repro.obs.log import get_logger
@@ -50,15 +57,20 @@ from repro.obs.prometheus import render_exposition
 from repro.obs.propagate import TRACEPARENT_HEADER, parse_traceparent
 from repro.serve.admission import AdmissionController
 from repro.serve.manager import JobManager
-from repro.serve.shards import ShardedCache
 
 _log = get_logger("serve")
 
 #: Largest accepted request body (a wire-format DDG is a few KiB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: How long a client may keep sending after its response before we close.
+LINGER_SECONDS = 2.0
+
 #: Client-identity header for per-client admission accounting.
 CLIENT_HEADER = "x-repro-client"
+
+#: A job key: the sha256 hex digest :meth:`CompileJob.content_hash` returns.
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 _REASONS = {
     200: "OK",
@@ -77,16 +89,12 @@ _REASONS = {
 class ServeConfig:
     """Deployment knobs for one server (CLI flags map 1:1).
 
-    The defaults are the degenerate deployment: one shard over the
-    local cache root, so a server and the ``repro bench`` CLI share
-    results.
+    By default the server's store is the local cache root, so a server
+    and the ``repro bench`` CLI share results.
     """
 
     host: str = "127.0.0.1"
     port: int = 8774
-    shards: int = 1
-    replication: int = 1
-    vnodes: int = 16
     data_dir: str | None = None
     executor: str = "process"
     workers: int = 2
@@ -96,7 +104,7 @@ class ServeConfig:
     retry_after: float = 1.0
 
     def resolved_data_dir(self) -> pathlib.Path:
-        """Shard store root (default: the engine's local cache root)."""
+        """Result store root (default: the engine's local cache root)."""
         if self.data_dir:
             return pathlib.Path(self.data_dir).expanduser()
         return cache_root()
@@ -104,16 +112,10 @@ class ServeConfig:
 
 def build_service(
     config: ServeConfig, bus: EventBus | None = None
-) -> tuple[ShardedCache, AdmissionController, JobManager, MetricsRegistry]:
+) -> tuple[ResultCache, AdmissionController, JobManager, MetricsRegistry]:
     """Wire up the cache/admission/manager stack for one deployment."""
     metrics = MetricsRegistry()
-    cache = ShardedCache(
-        root=config.resolved_data_dir(),
-        n_shards=config.shards,
-        replication=config.replication,
-        vnodes=config.vnodes,
-        metrics=metrics,
-    )
+    cache = ResultCache(root=config.resolved_data_dir(), enabled=True)
     admission = AdmissionController(
         max_queue=config.queue_limit,
         max_inflight_per_client=config.max_inflight,
@@ -138,7 +140,7 @@ class ServeServer:
     def __init__(
         self,
         manager: JobManager,
-        cache: ShardedCache,
+        cache: ResultCache,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
@@ -147,6 +149,7 @@ class ServeServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        self._connections: set[asyncio.Task] = set()
         self._http = manager.metrics.scoped("serve.http")
 
     async def start(self) -> None:
@@ -162,19 +165,25 @@ class ServeServer:
         return f"http://{self.host}:{self.port}"
 
     async def shutdown(self, drain_timeout: float | None = 30.0) -> None:
-        """Graceful drain: stop accepting, finish admitted jobs."""
+        """Graceful drain: stop accepting, finish admitted jobs, then
+        let open connections finish their responses."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         await self.manager.drain(timeout=drain_timeout)
+        if self._connections:
+            await asyncio.wait(self._connections, timeout=LINGER_SECONDS)
 
     # -- connection handling --------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             await self._handle_request(reader, writer)
+            await _discard_input(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request/response
         except Exception as exc:
@@ -189,26 +198,34 @@ class ServeServer:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            self._connections.discard(task)
 
     async def _handle_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
+        # readline() raises ValueError for a line over the stream's
+        # limit, as int() does for a Content-Length that is no number.
+        try:
+            request_line = (await reader.readline()).decode("latin-1").strip()
+            if not request_line:
+                return
+            parts = request_line.split()
+            if len(parts) != 3:
+                raise ValueError("malformed request line")
+            method, path, _version = parts
+            headers: dict[str, str] = {}
+            while True:
+                line = (await reader.readline()).decode("latin-1")
+                if line in ("\r\n", "\n", ""):
+                    break
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length") or 0)
+            if length < 0:
+                raise ValueError("negative Content-Length")
+        except ValueError as exc:
+            await _respond(writer, 400, {"error": f"bad request: {exc}"})
             return
-        parts = request_line.split()
-        if len(parts) != 3:
-            await _respond(writer, 400, {"error": "malformed request line"})
-            return
-        method, path, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY_BYTES:
             await _respond(writer, 413, {"error": "body too large"})
             return
@@ -257,9 +274,12 @@ class ServeServer:
             rest = path[len("/jobs/") :]
             if method != "GET":
                 return await _respond(writer, 405, {"error": "GET only"})
-            if rest.endswith("/events"):
-                return await self._stream_events(rest[: -len("/events")].rstrip("/"), writer)
-            return await self._status(rest, writer)
+            key = rest.removesuffix("/events")
+            if not _KEY.fullmatch(key):
+                return await _bad_key(writer)
+            if key != rest:
+                return await self._stream_events(key, writer)
+            return await self._status(key, writer)
         return await _respond(writer, 404, {"error": f"no route {method} {path}"})
 
     # -- endpoints -------------------------------------------------------
@@ -271,10 +291,13 @@ class ServeServer:
             payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("body must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             return await _respond(writer, 400, {"error": f"bad JSON body: {exc}"})
         if "key" in payload and "job" not in payload:
-            record = self.manager.lookup(str(payload["key"]))
+            key = payload["key"]
+            if not isinstance(key, str) or not _KEY.fullmatch(key):
+                return await _bad_key(writer)
+            record = self.manager.lookup(key)
             if record is None:
                 return await _respond(
                     writer,
@@ -326,14 +349,6 @@ class ServeServer:
 
     def _stats_payload(self) -> dict:
         cache_stats = self.cache.stats()
-        shards = [
-            {
-                "id": shard.shard_id,
-                "up": shard.up,
-                "entries": sum(1 for _ in shard.cache.keys()) if shard.up else 0,
-            }
-            for shard in self.cache.shards
-        ]
         return {
             "jobs": self.manager.counts(),
             "admission": {
@@ -348,12 +363,6 @@ class ServeServer:
                 "entries": cache_stats.entries,
                 "total_bytes": cache_stats.total_bytes,
             },
-            "ring": {
-                "shards": self.cache.ring.n_shards,
-                "replication": self.cache.ring.replication,
-                "vnodes": self.cache.ring.vnodes,
-            },
-            "shards": shards,
             # Typed export (not snapshot()): histograms keep their
             # bucket vectors and precomputed p50/p95/p99 instead of
             # being flattened to count/sum/max scalars.
@@ -362,6 +371,37 @@ class ServeServer:
                 for name, record in sorted(self.manager.metrics.export().items())
             },
         }
+
+
+async def _discard_input(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then drop what the client still sends, until its EOF.
+
+    Closing a socket with unread input (a refused request's remainder,
+    bytes past ``Content-Length``) makes the kernel send a reset, which
+    can destroy the response just written. Well-behaved clients close
+    once they have read the response, so this returns at once for them.
+    """
+
+    async def until_eof() -> None:
+        while await reader.read(65536):
+            pass
+
+    try:
+        writer.write_eof()
+    except OSError:
+        return  # the client is already gone
+    try:
+        await asyncio.wait_for(until_eof(), LINGER_SECONDS)
+    except asyncio.TimeoutError:
+        pass
+
+
+async def _bad_key(writer: asyncio.StreamWriter) -> int:
+    return await _respond(
+        writer, 400, {"error": "job key must be 64 lowercase hex digits"}
+    )
 
 
 async def _respond_text(

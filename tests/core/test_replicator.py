@@ -5,8 +5,9 @@ import pytest
 from repro.core.replicator import replicate
 from repro.ddg.builder import DdgBuilder
 from repro.machine.config import parse_config, unified_machine
+from repro.machine.resources import OpClass
 from repro.partition.partition import Partition
-from repro.schedule.placed import build_placed_graph
+from repro.schedule.placed import Role, build_placed_graph
 from repro.schedule.scheduler import schedule
 from repro.sim.verifier import verify_kernel
 
@@ -133,3 +134,44 @@ class TestStatistics:
         assert plan.n_removed_comms == 1
         (removed,) = plan.removed_comms
         assert g.node(removed).name == "cheap"
+
+
+class TestRevival:
+    def test_removed_original_needed_home_again_is_revived(self):
+        """A removed value needed again in its own cluster is the original.
+
+        Here ``n7`` is removed from cluster 2 when its communication is
+        replaced, and a later round needs its value in cluster 2 again.
+        The plan must revive the original there, not list cluster 2 as a
+        replica of ``n7`` while also counting ``n7`` as removed.
+        """
+        m = parse_config("4c1b2l64r")
+        b = DdgBuilder()
+        b.op("n0", OpClass.INT_MUL).int_op("n1").int_op("n2")
+        b.op("n3", OpClass.INT_MUL).load("n4").int_op("n5")
+        b.int_op("n6").load("n7").int_op("n8")
+        b.dep("n0", "n5").dep("n0", "n4").dep("n1", "n3").dep("n2", "n7")
+        b.dep("n2", "n5").dep("n3", "n8").dep("n5", "n1", 1)
+        b.dep("n6", "n1", 1).dep("n7", "n8").dep("n8", "n0", 1)
+        g = b.build()
+        part = partition_for(
+            g,
+            {
+                "n0": 0, "n1": 1, "n2": 2, "n3": 1, "n4": 0, "n5": 2,
+                "n6": 1, "n7": 2, "n8": 0,
+            },
+            4,
+        )
+        plan = replicate(part, m, ii=4)
+        n7 = g.node_by_name("n7").uid
+        for uid, clusters in plan.replicas.items():
+            assert part.cluster_of(uid) not in clusters
+        assert plan.replicas[n7] == frozenset({0})
+        assert n7 not in plan.removed
+        placed = build_placed_graph(g, part, m, plan)
+        roles = {
+            inst.cluster: inst.role
+            for inst in placed.instances()
+            if inst.origin == n7 and not inst.is_copy
+        }
+        assert roles == {0: Role.REPLICA, 2: Role.ORIGINAL}

@@ -132,3 +132,17 @@ class TestApplyAndPlan:
         assert plan.n_replicated_instructions == 2
         assert plan.net_added_instructions == 1
         assert not plan.is_empty
+
+    def test_instance_wanted_back_home_revives_the_original(self, state):
+        local = uid(state, "local")
+        state.apply(local, {}, removable=[local])
+        assert state.present_clusters(local) == set()
+        state.add_replicas(local, {0, 3})
+        plan = state.to_plan(initial_coms=1)
+        assert state.present_clusters(local) == {0, 3}
+        assert state.usage(FuKind.FP, 0) == 1
+        assert plan.replicas[local] == frozenset({3})
+        assert local not in plan.removed
+        # Revived, the original is removable again like any other.
+        state.apply(local, {}, removable=[local])
+        assert state.present_clusters(local) == {3}

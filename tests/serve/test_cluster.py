@@ -1,14 +1,14 @@
-"""The acceptance scenario from the serving-layer issue.
+"""The serving stack against the local single-process path.
 
-An in-process 3-shard cluster (replication factor 2) serves a bench
-matrix with results semantically identical to the local single-process
-path; killing one shard mid-run returns zero wrong results; and an
-anti-entropy sweep restores the lost replicas, asserted via Merkle
-digests.
+An in-process deployment serves a slice of the bench matrix with
+results semantically identical to local compiles, replays it from its
+store once the job records are gone, and shares that store's layout
+with any :class:`ResultCache` in both directions.
 """
 
 import pytest
 
+from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob, Outcome
 from repro.machine.config import parse_config
@@ -60,51 +60,27 @@ def _fingerprints(results):
     }
 
 
-def test_three_shard_cluster_acceptance(tmp_path, expected):
+def test_served_matrix_matches_local_and_replays_from_cache(tmp_path, expected):
     jobs = _matrix()
-    with ServeCluster(
-        root=tmp_path / "cluster", shards=3, replication=2, executor="thread",
-        workers=2,
-    ) as cluster:
+    with ServeCluster(root=tmp_path / "store", workers=2) as cluster:
         # -- the matrix, served -------------------------------------------
         results = cluster.run_jobs(jobs)
         assert len(results) == len(jobs)
         assert all(r.outcome is Outcome.OK for r in results)
         assert _fingerprints(results) == expected
-        assert cluster.replication_ok(), "fresh run must leave replicas in sync"
+        assert not any(r.cached for r in results)
 
-        # -- kill one shard mid-run: zero wrong results -------------------
-        cluster.kill_shard(0, wipe=True)
-        cluster.forget_records()  # resubmissions re-walk the cache path
-        survivors = cluster.run_jobs(jobs)
-        assert all(r.outcome is Outcome.OK for r in survivors)
-        assert _fingerprints(survivors) == expected
-        # replication factor 2 means every key kept one live replica,
-        # so the re-run is served from cache, not recomputed
-        assert all(r.cached for r in survivors)
-
-        # -- anti-entropy rebuilds the lost shard -------------------------
-        cluster.restore_shard(0)
-        assert not cluster.replication_ok()
-        report = cluster.sweep()
-        assert report.copies_written > 0
-        assert report.dropped_corrupt == 0
-        # asserted via Merkle digests: every segment's live owners now
-        # hold byte-identical slices
-        for _segment, trees in cluster.cache.segment_trees():
-            assert len({tree.root for tree in trees.values()}) <= 1
-        assert cluster.replication_ok()
-
-        # a second sweep finds nothing left to fix
-        assert cluster.sweep().copies_written == 0
+        # -- without job records, every resubmission is a cache hit ------
+        cluster.forget_records()
+        replayed = cluster.run_jobs(jobs)
+        assert all(r.outcome is Outcome.OK for r in replayed)
+        assert all(r.cached for r in replayed)
+        assert _fingerprints(replayed) == expected
 
 
 def test_cluster_dedupes_concurrent_submissions(tmp_path):
     jobs = _matrix()[:2]
-    with ServeCluster(
-        root=tmp_path / "dedupe", shards=3, replication=2, executor="thread",
-        workers=2,
-    ) as cluster:
+    with ServeCluster(root=tmp_path / "dedupe", workers=2) as cluster:
         first = cluster.run_jobs(jobs + jobs)
         assert len(first) == 4
         # same key submitted twice resolves to the same record/result
@@ -114,16 +90,20 @@ def test_cluster_dedupes_concurrent_submissions(tmp_path):
         )
 
 
-def test_single_shard_cluster_is_the_local_path(tmp_path):
-    """The degenerate deployment writes the plain local cache layout."""
-    job = _matrix()[0]
-    with ServeCluster(
-        root=tmp_path / "one", shards=1, replication=1, executor="thread",
-        workers=1,
-    ) as cluster:
-        [served] = cluster.run_jobs([job])
-        assert served.outcome is Outcome.OK
-    key = job.content_hash()
-    assert (tmp_path / "one" / key[:2] / f"{key}.pkl").exists()
-    local = compile_loop(job.ddg, parse_config(MACHINE), scheme=job.scheme)
-    assert result_fingerprint(served.result) == result_fingerprint(local)
+def test_store_is_the_local_cache_layout(tmp_path):
+    """Served results land where ResultCache looks, and the reverse."""
+    served_job, stored_job = _matrix()[:2]
+    root = tmp_path / "store"
+    local = compile_loop(
+        stored_job.ddg, parse_config(MACHINE), scheme=stored_job.scheme
+    )
+    ResultCache(root=root, enabled=True).put(stored_job.content_hash(), local)
+    with ServeCluster(root=root, workers=1) as cluster:
+        served, stored = cluster.run_jobs([served_job, stored_job])
+    assert served.outcome is Outcome.OK and not served.cached
+    assert stored.outcome is Outcome.OK and stored.cached
+    assert result_fingerprint(stored.result) == result_fingerprint(local)
+    key = served_job.content_hash()
+    assert (root / key[:2] / f"{key}.pkl").exists()
+    from_disk = ResultCache(root=root, enabled=True).get(key)
+    assert result_fingerprint(from_disk) == result_fingerprint(served.result)

@@ -2,9 +2,11 @@
 
 import http.client
 import json
+import socket
 
 import pytest
 
+from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob
 from repro.machine.config import parse_config
@@ -20,7 +22,7 @@ MACHINE = "2c1b2l64r"
 def cluster(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-http")
     with ServeCluster(
-        root=root, shards=2, replication=2, executor="thread", workers=2,
+        root=root, executor="thread", workers=2,
         max_inflight=4,  # well below queue_limit so client_capped is reachable
         http=True,
     ) as up:
@@ -39,6 +41,21 @@ def _job(scheme=Scheme.REPLICATION, ddg=None, tag="http/test"):
         scheme=scheme,
         tag=tag,
     )
+
+
+def _exchange(cluster, raw: bytes) -> int:
+    """Send raw request bytes, half-close, and return the status code."""
+    port = int(cluster.url.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while b"\r\n" not in response:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    return int(response.split(b" ", 2)[1])
 
 
 class TestSubmitAndPoll:
@@ -137,9 +154,83 @@ class TestProtocolErrors:
     def test_health_and_stats(self, client):
         assert client.health()["status"] == "ok"
         stats = client.stats()
-        assert stats["ring"] == {"shards": 2, "replication": 2, "vnodes": 16}
         assert stats["admission"]["queue_limit"] >= 1
-        assert {shard["id"] for shard in stats["shards"]} == {0, 1}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}",
+            # over the asyncio stream reader's 64 KiB line limit
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * (70 * 1024) + b"\r\n\r\n",
+        ],
+        ids=[
+            "content-length-abc",
+            "content-length-negative",
+            "long-request-line",
+            "long-header-line",
+        ],
+    )
+    def test_malformed_framing_is_400(self, cluster, raw):
+        assert _exchange(cluster, raw) == 400
+
+    def test_deeply_nested_json_body_is_400(self, cluster):
+        body = b"[" * 5000
+        status, _, payload = self._raw(
+            cluster, "POST", "/jobs", body=body,
+            headers={"Content-Length": str(len(body))},
+        )
+        assert status == 400
+        assert b"bad JSON" in payload
+
+    def test_response_survives_unread_trailing_input(self, cluster):
+        # Closing with unread input would make the kernel reset the
+        # connection and drop the response; the server drains it first.
+        raw = b"GET /healthz HTTP/1.1\r\n\r\n" + b"x" * (256 * 1024)
+        assert _exchange(cluster, raw) == 200
+
+
+class TestKeyValidation:
+    """A job key names a cache file, so only content hashes get through."""
+
+    @pytest.fixture()
+    def planted(self, tmp_path):
+        """A server whose store is three levels below a planted entry."""
+        victim = tmp_path / "victim.pkl"
+        victim.write_bytes(b"not a cache entry")
+        # The store must exist: ".." only resolves through real directories.
+        store = tmp_path / "a" / "b" / "c"
+        store.mkdir(parents=True)
+        with ServeCluster(
+            root=store, executor="thread", workers=1, http=True
+        ) as cluster:
+            yield cluster, victim
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("GET", "/jobs/../../victim", b""),
+            ("GET", "/jobs/../../victim/events", b""),
+            ("POST", "/jobs", json.dumps({"key": "../../victim"}).encode()),
+        ],
+        ids=["status", "events", "submit-by-key"],
+    )
+    def test_path_traversal_key_is_400_and_touches_nothing(
+        self, planted, method, path, body
+    ):
+        cluster, victim = planted
+        head = f"{method} {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        assert _exchange(cluster, head.encode() + body) == 400
+        assert victim.read_bytes() == b"not a cache entry"
+
+    @pytest.mark.parametrize(
+        "key", ["A" * 64, "0" * 63, "0" * 65, "g" * 64, 7, None]
+    )
+    def test_malformed_key_is_400(self, client, key):
+        status, payload = client.submit_key(key)
+        assert status == 400
+        assert "64 lowercase hex" in payload["error"]
 
 
 class TestObservabilityEndpoints:
@@ -238,3 +329,29 @@ class TestBackpressure:
         finally:
             admission.stop_drain()
         assert client.health()["status"] == "ok"
+
+
+class TestCorruptEntry:
+    def test_corrupt_entry_is_a_clean_miss_over_the_wire(self, tmp_path):
+        job = _job(ddg=stencil5(), tag="http/corrupt")
+        key = job.content_hash()
+        with ServeCluster(
+            root=tmp_path, executor="thread", workers=1, http=True
+        ) as cluster:
+            client = ServeClient(cluster.url, client_id="pytest")
+            client.submit(job)
+            assert client.wait(key, timeout=120.0)["cached"] is False
+            entry = cluster.cache.path_for(key)
+            entry.write_bytes(b"\x80garbage, not a pickle")
+            cluster.forget_records()
+            client.submit(job)
+            redone = client.wait(key, timeout=120.0)
+        assert redone["outcome"] == "ok"
+        assert redone["cached"] is False
+        local = compile_loop(
+            stencil5(), parse_config(MACHINE), scheme=Scheme.REPLICATION
+        )
+        assert redone["fingerprint"] == result_fingerprint(local)
+        reloaded = ResultCache(root=tmp_path, enabled=True).get(key)
+        assert reloaded is not None
+        assert result_fingerprint(reloaded) == redone["fingerprint"]

@@ -265,7 +265,6 @@ _RATE_COUNTERS = (
     "partition.analysis_memo_hit_rate",
     "partition.length_memo_hit_rate",
     "replicate.rescore_skip_rate",
-    "kernels.numpy_enabled",
 )
 
 
@@ -311,17 +310,6 @@ def _counter_totals(results) -> dict[str, float]:
     if walks:
         totals["replicate.rescore_skip_rate"] = (
             totals.get("replicate.subgraph_reused", 0.0) / walks
-        )
-    numpy_flags = [
-        res.result.diagnostics.counters.get("kernels.numpy_enabled")
-        for res in results
-        if res.ok and res.result.diagnostics is not None
-    ]
-    if any(flag is not None for flag in numpy_flags):
-        # A 0/1 backend flag, not an additive count: report whether ANY
-        # job ran with the NumPy kernels allowed.
-        totals["kernels.numpy_enabled"] = float(
-            any(flag for flag in numpy_flags if flag)
         )
     return totals
 

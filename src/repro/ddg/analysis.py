@@ -13,15 +13,18 @@ Modulo scheduling theory (section 2.2) needs three quantities:
   swing-modulo-scheduling priority order.
 
 All computations here are pure python (Tarjan SCCs, Bellman-Ford style
-relaxation) — no external graph library. The relaxations run over the
-flattened CSR view (:mod:`repro.ddg.csr`) of the graph, and
-:func:`analyze`/:func:`rec_mii` results are memoized per (graph
+relaxation) — no external graph library. The relaxations are the
+kernels of :mod:`repro.ddg.csr`, run over the graph's flattened view,
+and :func:`analyze`/:func:`rec_mii` results are memoized per (graph
 version, II): the partitioner's edge weighting, the driver's MII
 computation and repeated II escalations all ask the same questions
-about the same graph, so the second ask is a dict hit. Mutating the
-graph bumps its :attr:`~repro.ddg.graph.Ddg.version` and invalidates
-the memo wholesale; :func:`analysis_memo_stats` exposes hit/miss
-counters for the engine diagnostics.
+about the same graph, so the second ask is a dict hit. RecMII is a
+bisection over positive-cycle probes, and each probe's verdict is kept
+in the same memo, so :func:`analyze` at an II the search found
+infeasible fails without walking the graph. Mutating the graph bumps its
+:attr:`~repro.ddg.graph.Ddg.version` and invalidates the memo
+wholesale; :func:`analysis_memo_stats` exposes hit/miss counters for
+the engine diagnostics.
 """
 
 from __future__ import annotations
@@ -59,16 +62,6 @@ def _edge_weight(edge: Edge, src_latency: int, ii: int) -> int:
     return src_latency - ii * edge.distance
 
 
-def _has_positive_cycle(ddg: Ddg, ii: int) -> bool:
-    """True when some dependence cycle has positive weight at ``ii``.
-
-    Bellman-Ford longest-path relaxation over the CSR view: if
-    distances keep improving after |V| rounds, a positive-weight cycle
-    exists and the II is infeasible for the recurrences.
-    """
-    return csr_mod.has_positive_cycle(csr_mod.csr_view(ddg), ii)
-
-
 # ----------------------------------------------------------------------
 # The per-graph analysis memo
 # ----------------------------------------------------------------------
@@ -83,9 +76,9 @@ class AnalysisMemoStats:
     graph's whole lifetime in this process.
 
     ``prefills`` counts per-(version, II) positive-cycle entries written
-    as a side effect of the RecMII search and divergent analyses, so
-    later escalation probes of the same II are dict hits instead of
-    fresh graph walks.
+    as a side effect of the RecMII search and divergent analyses, so a
+    later :func:`analyze` at an II known to be infeasible fails without
+    walking the graph.
     """
 
     hits: int = 0
@@ -156,15 +149,6 @@ def rec_mii(ddg: Ddg) -> int:
     return _memoized(ddg, ("rec_mii",), lambda: _rec_mii_uncached(ddg))
 
 
-def positive_cycle(ddg: Ddg, ii: int) -> bool:
-    """Memoized positive-cycle test at a candidate II.
-
-    Shares the per-(version, II) entries the RecMII search prefills, so
-    repeated escalation probes never re-walk the graph.
-    """
-    return _probe_positive(_memo_for(ddg), csr_mod.csr_view(ddg), ii)
-
-
 def _probe_positive(memo: _AnalysisMemo, csr, ii: int) -> bool:
     key = ("poscycle", ii)
     cached = memo.entries.get(key)
@@ -175,11 +159,6 @@ def _probe_positive(memo: _AnalysisMemo, csr, ii: int) -> bool:
     return cached
 
 
-#: Interior pivots per batched positive-cycle call during the RecMII
-#: bisection (the NumPy backend evaluates them in one kernel call).
-_REC_MII_BATCH = 8
-
-
 def _rec_mii_uncached(ddg: Ddg) -> int:
     csr = csr_mod.csr_view(ddg)
     high = max(1, sum(node.latency for node in ddg.nodes()))
@@ -187,29 +166,7 @@ def _rec_mii_uncached(ddg: Ddg) -> int:
         raise DdgError("graph has a zero-distance cycle; not a valid loop DDG")
     low = 1
     memo = _memo_for(ddg)
-    batched = csr_mod.numpy_active(csr)
     while low < high:
-        if batched and high - low > 2:
-            # Split [low, high) with up to _REC_MII_BATCH evenly spaced
-            # pivots, decided by one vectorized kernel call. The test is
-            # monotone in the II, so the batch brackets the boundary.
-            span = high - low
-            count = min(_REC_MII_BATCH, span - 1) or 1
-            pivots = sorted(
-                {low + (span * step) // (count + 1) for step in range(1, count + 1)}
-                | {(low + high) // 2}
-            )
-            results = csr_mod.has_positive_cycle_batch(csr, pivots)
-            for pivot, positive in zip(pivots, results):
-                memo.entries[("poscycle", pivot)] = positive
-                memo.stats.prefills += 1
-            for pivot, positive in zip(pivots, results):
-                if positive:
-                    low = pivot + 1
-                else:
-                    high = pivot
-                    break
-            continue
         mid = (low + high) // 2
         if _probe_positive(memo, csr, mid):
             low = mid + 1

@@ -20,43 +20,19 @@ Invariants the rest of the compiler relies on:
   mutating a graph invalidates its view; the cache is weak, so views
   die with their graphs.
 
-Kernel backends
----------------
-
-Each public kernel dispatches between the pure-Python implementation
-and the vectorized Jacobi implementation in
-:mod:`repro.ddg.kernels_numpy`, selected by ``REPRO_KERNELS``:
-
-* ``auto`` (default) — NumPy when it is installed *and* the view is
-  large enough for vectorization to win; pure Python otherwise.
-* ``python`` — always the pure-Python kernels (core stays stdlib-only;
-  this is also what ``auto`` resolves to when NumPy is absent).
-* ``numpy`` — force the NumPy backend (raises if NumPy is missing).
-
-Whatever the backend, results are bit-identical: the Jacobi kernels
-return only proven-exact answers and signal :data:`~repro.ddg.
-kernels_numpy.FALLBACK` for order-dependent non-converged partials,
-which re-run on the sequential kernel here. Dispatch counts land in
-:func:`kernel_dispatch_stats` and flow into the engine diagnostics.
+Every relaxation kernel call adds one to a process-wide count,
+:func:`kernel_calls`; the pass pipeline reports each compilation's
+share of it as the ``kernels.python_calls`` counter.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
-import os
 import weakref
 
 from repro.ddg.graph import Ddg, EdgeKind
 from repro.machine.resources import FuKind
-
-#: Environment variable selecting the kernel backend.
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: ``auto`` uses NumPy only at or above this edge count: on the tiny
-#: graphs of the paper suite the per-call array overhead exceeds the
-#: pure-Python loop cost (measured crossover is a few hundred edges).
-AUTO_EDGE_THRESHOLD = 256
 
 #: FuKind members in a stable order; ``CsrView.fu_ord`` indexes this.
 FU_KINDS: tuple[FuKind, ...] = tuple(FuKind)
@@ -180,131 +156,13 @@ def csr_view(ddg: Ddg) -> CsrView:
     return view
 
 
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
+#: Relaxation-kernel calls made in this process; see :func:`kernel_calls`.
+_calls = 0
 
 
-@dataclasses.dataclass
-class KernelDispatchStats:
-    """Process-wide kernel dispatch counters.
-
-    Attributes:
-        python_calls: kernels answered by the pure-Python loops.
-        numpy_calls: kernels answered by the vectorized Jacobi backend.
-        batch_calls: batched positive-cycle calls (counted once per
-            batch, however many IIs it carried).
-        numpy_fallbacks: vectorized attempts that hit an
-            order-dependent non-converged partial and re-ran in Python
-            (those re-runs also count as ``python_calls``).
-    """
-
-    python_calls: int = 0
-    numpy_calls: int = 0
-    batch_calls: int = 0
-    numpy_fallbacks: int = 0
-
-    def snapshot(self) -> "KernelDispatchStats":
-        """Copy for before/after deltas."""
-        return dataclasses.replace(self)
-
-    def delta(self, base: "KernelDispatchStats") -> dict[str, int]:
-        """Counter increments since ``base``, as a flat dict."""
-        return {
-            "python_calls": self.python_calls - base.python_calls,
-            "numpy_calls": self.numpy_calls - base.numpy_calls,
-            "batch_calls": self.batch_calls - base.batch_calls,
-            "numpy_fallbacks": self.numpy_fallbacks - base.numpy_fallbacks,
-        }
-
-
-_DISPATCH_STATS = KernelDispatchStats()
-
-_BACKEND: str | None = None
-
-#: Lazy NumPy availability: importing NumPy costs ~150ms, which on a
-#: suite of small graphs (all below ``AUTO_EDGE_THRESHOLD``) would be
-#: pure overhead — so ``auto`` defers the real import until the first
-#: view that actually crosses the threshold.
-_NUMPY_READY: bool | None = None
-
-
-def kernel_dispatch_stats() -> KernelDispatchStats:
-    """The live process-wide dispatch counters."""
-    return _DISPATCH_STATS
-
-
-def _numpy_ready() -> bool:
-    """Import the NumPy backend once, on first actual need."""
-    global _NUMPY_READY
-    if _NUMPY_READY is None:
-        try:
-            from repro.ddg import kernels_numpy  # noqa: F401
-        except ImportError:
-            _NUMPY_READY = False
-        else:
-            _NUMPY_READY = True
-    return _NUMPY_READY
-
-
-def _resolve_backend(mode: str) -> str:
-    mode = mode.strip().lower() or "auto"
-    if mode not in ("auto", "python", "numpy"):
-        raise ValueError(
-            f"{KERNELS_ENV} must be auto|python|numpy, got {mode!r}"
-        )
-    if mode == "numpy" and not _numpy_ready():
-        raise RuntimeError(
-            f"{KERNELS_ENV}=numpy but NumPy is not installed "
-            "(pip install 'repro[perf]')"
-        )
-    # "auto" resolves availability lazily, per oversized view.
-    return mode
-
-
-def kernel_backend() -> str:
-    """The resolved backend mode: ``python``, ``numpy`` or ``auto``."""
-    global _BACKEND
-    if _BACKEND is None:
-        _BACKEND = _resolve_backend(os.environ.get(KERNELS_ENV, "auto"))
-    return _BACKEND
-
-
-def reset_kernel_backend() -> None:
-    """Re-read ``REPRO_KERNELS`` on next use (tests monkeypatch it)."""
-    global _BACKEND, _NUMPY_READY
-    _BACKEND = None
-    _NUMPY_READY = None
-
-
-def numpy_allowed() -> bool:
-    """Whether the NumPy backend is installed and not disabled.
-
-    Answered without importing NumPy when possible (a spec lookup is
-    ~1000x cheaper than the import): this feeds the per-compilation
-    ``kernels.numpy_enabled`` gauge, which must not itself pay the
-    import the lazy ``auto`` mode is avoiding.
-    """
-    backend = kernel_backend()
-    if backend == "python":
-        return False
-    if backend == "numpy":
-        return True
-    if _NUMPY_READY is not None:
-        return _NUMPY_READY
-    import importlib.util
-
-    return importlib.util.find_spec("numpy") is not None
-
-
-def numpy_active(csr: CsrView) -> bool:
-    """Whether this view's kernels dispatch to the NumPy backend."""
-    backend = kernel_backend()
-    if backend == "python":
-        return False
-    if backend == "numpy":
-        return True
-    return csr.n_edges >= AUTO_EDGE_THRESHOLD and _numpy_ready()
+def kernel_calls() -> int:
+    """Relaxation-kernel calls made in this process so far."""
+    return _calls
 
 
 def _view_cache(csr: CsrView) -> dict:
@@ -345,16 +203,8 @@ def has_positive_cycle(csr: CsrView, ii: int) -> bool:
     dependence cycle has positive weight and the II violates a
     recurrence.
     """
-    if numpy_active(csr):
-        from repro.ddg import kernels_numpy
-
-        _DISPATCH_STATS.numpy_calls += 1
-        return kernels_numpy.has_positive_cycle(csr, ii)
-    _DISPATCH_STATS.python_calls += 1
-    return _has_positive_cycle_py(csr, ii)
-
-
-def _has_positive_cycle_py(csr: CsrView, ii: int) -> bool:
+    global _calls
+    _calls += 1
     n = csr.n_nodes
     if n == 0:
         return False
@@ -373,41 +223,12 @@ def _has_positive_cycle_py(csr: CsrView, ii: int) -> bool:
     return True
 
 
-def has_positive_cycle_batch(csr: CsrView, iis: list[int]) -> list[bool]:
-    """Positive-cycle tests for a vector of candidate IIs.
-
-    One vectorized kernel call on the NumPy backend (the II escalation
-    and the RecMII search probe many IIs against one graph); a plain
-    loop over :func:`has_positive_cycle` otherwise.
-    """
-    if numpy_active(csr):
-        from repro.ddg import kernels_numpy
-
-        _DISPATCH_STATS.batch_calls += 1
-        _DISPATCH_STATS.numpy_calls += 1
-        return kernels_numpy.has_positive_cycle_batch(csr, iis)
-    return [has_positive_cycle(csr, ii) for ii in iis]
-
-
 def relax_asap(
     csr: CsrView, weights: list[int], rounds: int
 ) -> list[int] | None:
     """Forward longest-path fixpoint, or None on divergence."""
-    if numpy_active(csr):
-        from repro.ddg import kernels_numpy
-
-        result = kernels_numpy.relax_asap(csr, weights, rounds)
-        if result is not kernels_numpy.FALLBACK:
-            _DISPATCH_STATS.numpy_calls += 1
-            return result
-        _DISPATCH_STATS.numpy_fallbacks += 1
-    _DISPATCH_STATS.python_calls += 1
-    return _relax_asap_py(csr, weights, rounds)
-
-
-def _relax_asap_py(
-    csr: CsrView, weights: list[int], rounds: int
-) -> list[int] | None:
+    global _calls
+    _calls += 1
     dist = [0] * csr.n_nodes
     srcs, dsts = csr.edge_src, csr.edge_dst
     for _ in range(rounds):
@@ -426,21 +247,8 @@ def relax_alap(
     csr: CsrView, weights: list[int], start: list[int], rounds: int
 ) -> list[int] | None:
     """Backward longest-path fixpoint from ``start``, or None."""
-    if numpy_active(csr):
-        from repro.ddg import kernels_numpy
-
-        result = kernels_numpy.relax_alap(csr, weights, start, rounds)
-        if result is not kernels_numpy.FALLBACK:
-            _DISPATCH_STATS.numpy_calls += 1
-            return result
-        _DISPATCH_STATS.numpy_fallbacks += 1
-    _DISPATCH_STATS.python_calls += 1
-    return _relax_alap_py(csr, weights, start, rounds)
-
-
-def _relax_alap_py(
-    csr: CsrView, weights: list[int], start: list[int], rounds: int
-) -> list[int] | None:
+    global _calls
+    _calls += 1
     dist = list(start)
     srcs, dsts = csr.edge_src, csr.edge_dst
     for _ in range(rounds):
@@ -467,21 +275,22 @@ def penalized_length(
     ``cluster`` maps node positions to clusters. On non-convergence (II
     below the bus-augmented RecMII) the partial relaxation yields the
     same pessimistic-but-deterministic estimate as the historical
-    dict-based implementation, because edges relax in identical order
-    (the NumPy backend defers exactly those cases to the Python loop).
+    dict-based implementation, because edges relax in identical order.
     """
-    if numpy_active(csr):
-        from repro.ddg import kernels_numpy
-
-        result = kernels_numpy.penalized_length(
-            csr, cluster, bus_latency, ii, rounds
-        )
-        if result is not kernels_numpy.FALLBACK:
-            _DISPATCH_STATS.numpy_calls += 1
-            return result
-        _DISPATCH_STATS.numpy_fallbacks += 1
-    _DISPATCH_STATS.python_calls += 1
-    return _penalized_length_py(csr, cluster, bus_latency, ii, rounds)
+    global _calls
+    _calls += 1
+    n = csr.n_nodes
+    if n == 0:
+        return 0
+    base = edge_weights_at(csr, ii)
+    if bus_latency:
+        weights = base.copy()
+        for edge, src, dst in _register_edge_triples(csr):
+            if cluster[src] != cluster[dst]:
+                weights[edge] += bus_latency
+    else:
+        weights = base  # shared cache entry; the relax loop never mutates it
+    return _relax_length(csr, weights, rounds)
 
 
 def _register_edge_triples(csr: CsrView) -> list[tuple[int, int, int]]:
@@ -502,28 +311,7 @@ def _register_edge_triples(csr: CsrView) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _penalized_length_py(
-    csr: CsrView,
-    cluster: list[int],
-    bus_latency: int,
-    ii: int,
-    rounds: int,
-) -> int:
-    n = csr.n_nodes
-    if n == 0:
-        return 0
-    base = edge_weights_at(csr, ii)
-    if bus_latency:
-        weights = base.copy()
-        for edge, src, dst in _register_edge_triples(csr):
-            if cluster[src] != cluster[dst]:
-                weights[edge] += bus_latency
-    else:
-        weights = base  # shared cache entry; the relax loop never mutates it
-    return _relax_length_py(csr, weights, rounds)
-
-
-def _relax_length_py(csr: CsrView, weights: list[int], rounds: int) -> int:
+def _relax_length(csr: CsrView, weights: list[int], rounds: int) -> int:
     """Sequential longest path over caller-built weights, as a length."""
     start = [0] * csr.n_nodes
     srcs, dsts = csr.edge_src, csr.edge_dst
@@ -577,22 +365,14 @@ def penalized_length_replicated(
     Like :func:`penalized_length`, but a cross-cluster register edge is
     free when the producer has an instance (original or replica) in the
     consumer's home cluster. Determinism mirrors the plain kernel: the
-    relaxation visits edges in ``ddg.edges()`` order, and the NumPy
-    backend defers non-converged partials to the sequential loop.
+    relaxation visits edges in ``ddg.edges()`` order.
     """
+    global _calls
     if csr.n_nodes == 0:
         return 0
+    _calls += 1
     weights = replicated_edge_weights(csr, cluster, extra, bus_latency, ii)
-    if numpy_active(csr):
-        from repro.ddg import kernels_numpy
-
-        result = kernels_numpy.relax_length(csr, weights, rounds)
-        if result is not kernels_numpy.FALLBACK:
-            _DISPATCH_STATS.numpy_calls += 1
-            return result
-        _DISPATCH_STATS.numpy_fallbacks += 1
-    _DISPATCH_STATS.python_calls += 1
-    return _relax_length_py(csr, weights, rounds)
+    return _relax_length(csr, weights, rounds)
 
 
 # ----------------------------------------------------------------------

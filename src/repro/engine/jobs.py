@@ -50,7 +50,10 @@ from repro.pipeline.driver import (
 #: v7: a plan never lists a replica in the node's home cluster; a
 #: removed original needed there again is revived instead, which
 #: rewrites the plans of the cells that hit that case.
-ENGINE_SCHEMA_VERSION = 7
+#: v8: counters lost every ``kernels.*`` key but ``python_calls`` and
+#: ``numpy_calls``, and every ``schedule.memo_*`` key, when the NumPy
+#: kernel backend and the cross-II schedule memo were deleted.
+ENGINE_SCHEMA_VERSION = 8
 
 
 def resolve_machine(name: str) -> MachineConfig:

@@ -41,7 +41,7 @@ from repro.core.macro import macro_replicate
 from repro.core.plan import EMPTY_PLAN, ReplicationPlan
 from repro.core.replicator import replicate
 from repro.ddg.analysis import analysis_memo_stats, mii
-from repro.ddg.csr import kernel_dispatch_stats, numpy_allowed
+from repro.ddg.csr import kernel_calls
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
 from repro.obs.metrics import MetricsRegistry
@@ -56,7 +56,6 @@ from repro.pipeline.driver import (
     UnschedulableError,
 )
 from repro.schedule.kernel import Kernel
-from repro.schedule.order import schedule_memo_stats
 from repro.schedule.placed import PlacedGraph, build_placed_graph
 from repro.schedule.scheduler import FailureCause, ScheduleFailure, schedule
 
@@ -334,27 +333,15 @@ class SchedulePass:
 
     name = "schedule"
 
-    def __init__(self) -> None:
-        # The memo counters are process-global; gauges report this
-        # compilation's delta against the snapshot taken at stack build.
-        self._memo_base = schedule_memo_stats().snapshot()
-
     def run(self, ctx: CompilationContext) -> None:
         ctx.diagnostics.schedule_attempts += 1
         ctx.pass_metrics(self).counter("attempts").inc()
-        try:
-            ctx.kernel = schedule(
-                ctx.graph,
-                ctx.machine,
-                ctx.ii,
-                copy_latency_override=ctx.config.copy_latency_override,
-            )
-        finally:
-            metrics = ctx.pass_metrics(self)
-            for name, value in (
-                schedule_memo_stats().delta(self._memo_base).items()
-            ):
-                metrics.gauge(f"memo_{name}").set(value)
+        ctx.kernel = schedule(
+            ctx.graph,
+            ctx.machine,
+            ctx.ii,
+            copy_latency_override=ctx.config.copy_latency_override,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +515,7 @@ def run_pass_pipeline(
     )
 
     ii = loop_mii
-    dispatch_base = kernel_dispatch_stats().snapshot()
+    calls_base = kernel_calls()
     with obs_span(
         "pipeline.compile", loop=ddg.name, scheme=name, mii=loop_mii
     ) as compile_span:
@@ -557,11 +544,11 @@ def run_pass_pipeline(
                 continue
             compile_span.set(ii=ii, attempts=len(ctx.diagnostics.ii_trajectory))
             kernels = ctx.metrics.scoped("kernels")
-            kernels.gauge("numpy_enabled").set(1 if numpy_allowed() else 0)
-            for key, value in (
-                kernel_dispatch_stats().delta(dispatch_base).items()
-            ):
-                kernels.gauge(key).set(value)
+            kernels.gauge("python_calls").set(kernel_calls() - calls_base)
+            # Always 0: perfbench/layers.py sums this key with
+            # python_calls into ddg.kernel_calls and fails a traced run
+            # that lacks it.
+            kernels.gauge("numpy_calls").set(0)
             ctx.diagnostics.merge_counters(ctx.metrics.snapshot())
             return CompileResult(
                 kernel=ctx.kernel,

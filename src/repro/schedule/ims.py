@@ -27,12 +27,7 @@ from __future__ import annotations
 from repro.machine.config import MachineConfig
 from repro.schedule.kernel import Kernel, ScheduledOp
 from repro.schedule.mrt import ModuloReservationTable
-from repro.schedule.order import (
-    OrderError,
-    graph_cache,
-    instance_latencies,
-    placed_analysis,
-)
+from repro.schedule.order import OrderError, placed_analysis
 from repro.schedule.placed import PlacedGraph
 from repro.schedule.registers import fits_registers
 from repro.schedule.scheduler import FailureCause, ScheduleFailure
@@ -56,15 +51,13 @@ def ims_schedule(
     except OrderError as exc:
         raise ScheduleFailure(FailureCause.RECURRENCES, str(exc)) from exc
 
-    latency = instance_latencies(graph, machine)
     instances = {inst.iid: inst for inst in graph.instances()}
     if not instances:
         return Kernel(graph=graph, machine=machine, ii=ii, ops={})
 
-    # Flattened adjacency, memoized across the II-escalation restarts.
-    cache = graph_cache(graph)
-    in_lists = cache.in_lists
-    out_lists = cache.out_lists
+    latency = analysis.latency
+    in_lists = analysis.in_lists
+    out_lists = analysis.out_lists
 
     # Height priority: latency-weighted distance to a sink.
     height = {

@@ -17,26 +17,18 @@ then nodes are emitted greedily, always choosing the candidate with the
 most already-ordered neighbours, breaking ties by ascending slack, then
 ascending ASAP time, then instance id.
 
-Memoization
------------
-
-Figure 2's feedback loop re-schedules the *same* placed graph at an
-escalating II, so everything II-independent — flattened adjacency, the
-SCC condensation, instance latencies — and every per-(machine, II)
-analysis is cached on the graph via :func:`graph_cache`. The cache is
-held in a ``WeakKeyDictionary`` keyed by graph identity (placed graphs
-are never structurally mutated after :func:`~repro.schedule.placed.
-build_placed_graph` returns) and the flat edge list preserves the exact
-node-major edge order of the original nested loops, so relaxation
-results — including which round diverges — are bit-identical to the
-uncached implementation. :func:`schedule_memo_stats` exposes hit/miss
-counters that the pipeline surfaces as diagnostics.
+Each scheduling attempt builds its own placed graph, so nothing here is
+kept between attempts: :func:`placed_analysis` flattens the graph's
+adjacency and computes the instance latencies once, and returns both on
+the :class:`PlacedAnalysis` that :func:`compute_order` and the
+scheduler's placement loop then read. The flat edge list keeps the
+node-major order of ``for iid in ids: for edge in graph.out_edges(iid)``,
+so the relaxations visit edges in the order the nested loops would.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import weakref
 
 from repro.ddg.analysis import tarjan_scc
 from repro.machine.config import MachineConfig
@@ -48,95 +40,23 @@ class OrderError(ValueError):
 
 
 @dataclasses.dataclass
-class ScheduleMemoStats:
-    """Hit/miss counters for the placed-graph schedule memo."""
-
-    graphs_cached: int = 0
-    analysis_hits: int = 0
-    analysis_misses: int = 0
-    latency_hits: int = 0
-    latency_misses: int = 0
-
-    def snapshot(self) -> "ScheduleMemoStats":
-        """A copy for later delta computation."""
-        return dataclasses.replace(self)
-
-    def delta(self, base: "ScheduleMemoStats") -> dict[str, int]:
-        """Per-field increments since ``base``."""
-        return {
-            field.name: getattr(self, field.name) - getattr(base, field.name)
-            for field in dataclasses.fields(self)
-        }
-
-
-_MEMO_STATS = ScheduleMemoStats()
-
-
-def schedule_memo_stats() -> ScheduleMemoStats:
-    """The process-wide schedule memo counters (live object)."""
-    return _MEMO_STATS
-
-
-class _GraphCache:
-    """II-independent structure plus per-(machine, II) memo entries.
-
-    ``machine`` keys use ``id(machine)`` (configs hold dicts and are
-    unhashable); each entry pins the machine object so its id cannot be
-    recycled while the entry is alive.
-    """
-
-    __slots__ = ("ids", "edges", "in_lists", "out_lists", "latencies", "analyses", "scc")
-
-    def __init__(self, graph: PlacedGraph) -> None:
-        self.ids = [inst.iid for inst in graph.instances()]
-        # Node-major flat edge list, matching the historical
-        # ``for iid in ids: for edge in graph.out_edges(iid)`` order.
-        # ``in_lists`` is derived from the same pass instead of walking
-        # ``graph.in_edges`` too; its entries come out src-major rather
-        # than insertion-ordered, which is safe because every consumer
-        # (dependence windows, earliest starts) reduces over the list
-        # with max/min and is order-independent.
-        self.edges: list[tuple[int, int, int]] = []
-        self.in_lists: dict[int, list[tuple[int, int]]] = {
-            iid: [] for iid in self.ids
-        }
-        self.out_lists: dict[int, list[tuple[int, int]]] = {}
-        edges = self.edges
-        in_lists = self.in_lists
-        for iid in self.ids:
-            outs = [(e.dst, e.distance) for e in graph.out_edges(iid)]
-            self.out_lists[iid] = outs
-            for dst, distance in outs:
-                edges.append((iid, dst, distance))
-                in_lists[dst].append((iid, distance))
-        self.latencies: dict = {}
-        self.analyses: dict = {}
-        self.scc = None
-
-
-_GRAPH_CACHES: "weakref.WeakKeyDictionary[PlacedGraph, _GraphCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def graph_cache(graph: PlacedGraph) -> _GraphCache:
-    """The memo attached to ``graph`` (created on first use)."""
-    cache = _GRAPH_CACHES.get(graph)
-    if cache is None:
-        cache = _GraphCache(graph)
-        _GRAPH_CACHES[graph] = cache
-        _MEMO_STATS.graphs_cached += 1
-    return cache
-
-
-@dataclasses.dataclass
 class PlacedAnalysis:
-    """ASAP/ALAP bounds of placed instances at a candidate II."""
+    """ASAP/ALAP bounds of placed instances at a candidate II.
+
+    The analysis also carries what it was computed from, for the
+    attempt that asked for it: ``latency`` maps each instance to its
+    latency (COPY latency overridden when requested), and
+    ``in_lists``/``out_lists`` map each instance, in graph order, to
+    its ``(neighbour, distance)`` dependence pairs.
+    """
 
     ii: int
     asap: dict[int, int]
     alap: dict[int, int]
     length: int
+    latency: dict[int, int]
+    in_lists: dict[int, list[tuple[int, int]]]
+    out_lists: dict[int, list[tuple[int, int]]]
 
     def slack(self, iid: int) -> int:
         """Scheduling freedom of an instance."""
@@ -151,24 +71,13 @@ def instance_latencies(
     The override implements section 5.1's upper-bound experiment: bus
     transfers still occupy bus slots (the II effect is kept) but are
     treated as instantaneous for dependence/length purposes.
-
-    Memoized per (machine, override) on the graph; treat the returned
-    mapping as immutable.
     """
-    cache = graph_cache(graph)
-    key = (id(machine), copy_latency_override)
-    entry = cache.latencies.get(key)
-    if entry is not None:
-        _MEMO_STATS.latency_hits += 1
-        return entry[1]
-    _MEMO_STATS.latency_misses += 1
     latency = {}
     for inst in graph.instances():
         if inst.is_copy and copy_latency_override is not None:
             latency[inst.iid] = copy_latency_override
         else:
             latency[inst.iid] = graph.latency_of(inst, machine)
-    cache.latencies[key] = (machine, latency)
     return latency
 
 
@@ -180,43 +89,27 @@ def placed_analysis(
 ) -> PlacedAnalysis:
     """Longest-path ASAP/ALAP over instances (bus latency included).
 
-    Memoized per (machine, II, override) on the graph — divergence is
-    memoized too, so retrying an infeasible II re-raises immediately.
-    Treat the returned analysis as immutable.
+    Raises :class:`OrderError` when ``ii`` is below a recurrence bound
+    of the placed graph, where the relaxation diverges.
     """
-    cache = graph_cache(graph)
-    key = (id(machine), ii, copy_latency_override)
-    entry = cache.analyses.get(key)
-    if entry is not None:
-        _MEMO_STATS.analysis_hits += 1
-        result = entry[1]
-        if isinstance(result, OrderError):
-            raise OrderError(str(result))
-        return result
-    _MEMO_STATS.analysis_misses += 1
-    try:
-        result = _placed_analysis_uncached(
-            cache, graph, machine, ii, copy_latency_override
-        )
-    except OrderError as exc:
-        cache.analyses[key] = (machine, exc)
-        raise
-    cache.analyses[key] = (machine, result)
-    return result
-
-
-def _placed_analysis_uncached(
-    cache: _GraphCache,
-    graph: PlacedGraph,
-    machine: MachineConfig,
-    ii: int,
-    copy_latency_override: int | None,
-) -> PlacedAnalysis:
-    ids = cache.ids
-    if not ids:
-        return PlacedAnalysis(ii=ii, asap={}, alap={}, length=0)
+    ids = [inst.iid for inst in graph.instances()]
     latency = instance_latencies(graph, machine, copy_latency_override)
-    edges = cache.edges
+    # ``in_lists`` comes from the same pass as the node-major edge list
+    # instead of a walk over ``graph.in_edges``; its entries come out
+    # src-major rather than insertion-ordered, which is safe because
+    # every consumer (dependence windows, earliest starts) reduces over
+    # the list with max/min and is order-independent.
+    edges: list[tuple[int, int, int]] = []
+    in_lists: dict[int, list[tuple[int, int]]] = {iid: [] for iid in ids}
+    out_lists: dict[int, list[tuple[int, int]]] = {}
+    for iid in ids:
+        outs = [(e.dst, e.distance) for e in graph.out_edges(iid)]
+        out_lists[iid] = outs
+        for dst, distance in outs:
+            edges.append((iid, dst, distance))
+            in_lists[dst].append((iid, distance))
+    if not ids:
+        return PlacedAnalysis(ii, {}, {}, 0, latency, in_lists, out_lists)
     rounds = len(ids) + 1
 
     asap = {iid: 0 for iid in ids}
@@ -246,7 +139,7 @@ def _placed_analysis_uncached(
     else:  # pragma: no cover - symmetric to ASAP divergence
         raise OrderError(f"ALAP diverged at II={ii}")
 
-    return PlacedAnalysis(ii=ii, asap=asap, alap=alap, length=length)
+    return PlacedAnalysis(ii, asap, alap, length, latency, in_lists, out_lists)
 
 
 def compute_order(
@@ -268,29 +161,23 @@ def compute_order(
     """
     if analysis is None:
         analysis = placed_analysis(graph, machine, ii)
-    cache = graph_cache(graph)
-    if cache.scc is None:
-        ids = cache.ids
-        out_lists = cache.out_lists
-        components = tarjan_scc(
-            ids, lambda u: [dst for dst, _ in out_lists[u]]
-        )
-        component_of: dict[int, int] = {}
-        for index, component in enumerate(components):
-            for iid in component:
-                component_of[iid] = index
+    out_lists = analysis.out_lists
+    components = tarjan_scc(out_lists, lambda u: [dst for dst, _ in out_lists[u]])
+    component_of: dict[int, int] = {}
+    for index, component in enumerate(components):
+        for iid in component:
+            component_of[iid] = index
 
-        # Condensation in-degrees for Kahn's algorithm.
-        in_degree = [0] * len(components)
-        successors: list[set[int]] = [set() for _ in components]
-        for src, dst, _ in cache.edges:
-            src_c, dst_c = component_of[src], component_of[dst]
+    # Condensation in-degrees for Kahn's algorithm.
+    in_degree = [0] * len(components)
+    successors: list[set[int]] = [set() for _ in components]
+    for src, outs in out_lists.items():
+        src_c = component_of[src]
+        for dst, _ in outs:
+            dst_c = component_of[dst]
             if src_c != dst_c and dst_c not in successors[src_c]:
                 successors[src_c].add(dst_c)
                 in_degree[dst_c] += 1
-        cache.scc = (components, successors, in_degree)
-    components, successors, base_in_degree = cache.scc
-    in_degree = list(base_in_degree)
 
     # Priorities are pure per (analysis, component); compute each once
     # instead of re-deriving the mins on every ``ready`` re-sort.

@@ -21,13 +21,7 @@ from repro.machine.config import MachineConfig
 from repro.obs.spans import span as obs_span
 from repro.schedule.kernel import Kernel, ScheduledOp
 from repro.schedule.mrt import ModuloReservationTable
-from repro.schedule.order import (
-    OrderError,
-    compute_order,
-    graph_cache,
-    instance_latencies,
-    placed_analysis,
-)
+from repro.schedule.order import OrderError, compute_order, placed_analysis
 from repro.schedule.placed import Instance, PlacedGraph
 from repro.schedule.registers import fits_registers
 
@@ -81,7 +75,7 @@ def _dependence_window(
     cycles are scanned: beyond that the modulo slots repeat.
 
     ``in_list``/``out_list`` are the instance's (neighbour, distance)
-    pairs from the :func:`~repro.schedule.order.graph_cache` memo.
+    pairs from the attempt's :class:`~repro.schedule.order.PlacedAnalysis`.
     """
     earliest: int | None = None
     latest: int | None = None
@@ -129,11 +123,10 @@ def schedule(
         except OrderError as exc:
             raise ScheduleFailure(FailureCause.RECURRENCES, str(exc)) from exc
 
-        latency = instance_latencies(graph, machine, copy_latency_override)
         order = compute_order(graph, machine, ii, analysis)
-    cache = graph_cache(graph)
-    in_lists = cache.in_lists
-    out_lists = cache.out_lists
+    latency = analysis.latency
+    in_lists = analysis.in_lists
+    out_lists = analysis.out_lists
     mrt = ModuloReservationTable(machine, ii)
     times: dict[int, int] = {}
     buses: dict[int, int] = {}

@@ -36,7 +36,10 @@ Job keys are the 64-hex-digit content hashes the engine computes; any
 other key is refused with 400 before it can reach the cache, whose
 entry paths are built from it. Malformed framing (a bad
 ``Content-Length``, a request or header line over the stream limit) is
-a 400 as well.
+a 400 as well. A request line and headers not received within
+:data:`HEAD_TIMEOUT_SECONDS` get 408, and more than
+:data:`MAX_HEADER_LINES` header lines get 431, so a slow or endless
+head cannot hold a connection or fill memory.
 """
 
 from __future__ import annotations
@@ -66,6 +69,12 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: How long a client may keep sending after its response before we close.
 LINGER_SECONDS = 2.0
 
+#: How long a client may take to send its request line and headers.
+HEAD_TIMEOUT_SECONDS = 10.0
+
+#: Most header lines one request may carry.
+MAX_HEADER_LINES = 100
+
 #: Client-identity header for per-client admission accounting.
 CLIENT_HEADER = "x-repro-client"
 
@@ -78,8 +87,10 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -203,29 +214,22 @@ class ServeServer:
     async def _handle_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # readline() raises ValueError for a line over the stream's
-        # limit, as int() does for a Content-Length that is no number.
         try:
-            request_line = (await reader.readline()).decode("latin-1").strip()
-            if not request_line:
-                return
-            parts = request_line.split()
-            if len(parts) != 3:
-                raise ValueError("malformed request line")
-            method, path, _version = parts
-            headers: dict[str, str] = {}
-            while True:
-                line = (await reader.readline()).decode("latin-1")
-                if line in ("\r\n", "\n", ""):
-                    break
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length") or 0)
-            if length < 0:
-                raise ValueError("negative Content-Length")
+            head = await asyncio.wait_for(_read_head(reader), HEAD_TIMEOUT_SECONDS)
+        except asyncio.TimeoutError:
+            await _respond(writer, 408, {"error": "request head too slow"})
+            return
+        except _TooManyHeaders:
+            await _respond(
+                writer, 431, {"error": f"over {MAX_HEADER_LINES} header lines"}
+            )
+            return
         except ValueError as exc:
             await _respond(writer, 400, {"error": f"bad request: {exc}"})
             return
+        if head is None:
+            return
+        method, path, headers, length = head
         if length > MAX_BODY_BYTES:
             await _respond(writer, 413, {"error": "body too large"})
             return
@@ -371,6 +375,43 @@ class ServeServer:
                 for name, record in sorted(self.manager.metrics.export().items())
             },
         }
+
+
+class _TooManyHeaders(Exception):
+    """A request head carried more than :data:`MAX_HEADER_LINES` headers."""
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str], int] | None:
+    """Method, path, headers and body length of one request head.
+
+    None when the client closed without sending a request line.
+    readline() raises ValueError for a line over the stream's limit, as
+    int() does for a Content-Length that is no number.
+    """
+    request_line = (await reader.readline()).decode("latin-1").strip()
+    if not request_line:
+        return None
+    parts = request_line.split()
+    if len(parts) != 3:
+        raise ValueError("malformed request line")
+    method, path, _version = parts
+    headers: dict[str, str] = {}
+    lines = 0
+    while True:
+        line = (await reader.readline()).decode("latin-1")
+        if line in ("\r\n", "\n", ""):
+            break
+        lines += 1
+        if lines > MAX_HEADER_LINES:
+            raise _TooManyHeaders
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length") or 0)
+    if length < 0:
+        raise ValueError("negative Content-Length")
+    return method, path, headers, length
 
 
 async def _discard_input(

@@ -78,8 +78,8 @@ class TestCorruptionTolerance:
         self, store, compiled, stale_schema
     ):
         """Entries written under ANY earlier schema — v1 (pre-
-        diagnostics) through v4 (pre kernel-backend/replicator/schedule
-        counters) — must read as misses and be evicted, never
+        diagnostics) through v7 (with the NumPy backend and schedule
+        memo counters) — must read as misses and be evicted, never
         deserialised as-if current."""
         key, result = compiled
         path = store.path_for(key)

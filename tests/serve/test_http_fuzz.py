@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.cluster import ServeCluster
+from repro.serve.server import MAX_HEADER_LINES
 
 KEY = "0" * 64
 
@@ -68,6 +69,11 @@ header_values = st.one_of(
     st.text(max_size=40),
 )
 
+#: Header blocks just under, at and just over the header-line cap.
+header_floods = st.integers(MAX_HEADER_LINES - 1, MAX_HEADER_LINES + 1).map(
+    lambda count: [b"X-Pad: %d" % i for i in range(count)]
+)
+
 headers = st.lists(
     st.one_of(
         st.builds(
@@ -79,7 +85,7 @@ headers = st.lists(
         long_runs.map(lambda n: b"X-Big: " + b"b" * n),
     ),
     max_size=6,
-)
+) | header_floods
 
 bodies = st.one_of(
     st.binary(max_size=200),

@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob
 from repro.machine.config import parse_config
 from repro.pipeline.driver import Scheme, compile_loop
+from repro.serve import server as server_mod
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import ServeCluster
 from repro.workloads.patterns import daxpy, dot_product, stencil5
@@ -189,6 +191,30 @@ class TestProtocolErrors:
         # connection and drop the response; the server drains it first.
         raw = b"GET /healthz HTTP/1.1\r\n\r\n" + b"x" * (256 * 1024)
         assert _exchange(cluster, raw) == 200
+
+
+class TestRequestHeadLimits:
+    def test_stalled_head_is_answered_408(self, cluster, monkeypatch):
+        monkeypatch.setattr(server_mod, "HEAD_TIMEOUT_SECONDS", 0.5)
+        port = int(cluster.url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")  # no blank line: stall
+            started = time.monotonic()
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+            waited = time.monotonic() - started
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert waited < 5.0
+        assert _exchange(cluster, b"GET /healthz HTTP/1.1\r\n\r\n") == 200
+
+    @pytest.mark.parametrize("extra, status", [(0, 200), (1, 431)])
+    def test_header_lines_are_capped(self, cluster, extra, status):
+        count = server_mod.MAX_HEADER_LINES + extra
+        head = b"".join(b"X-Pad-%d: 1\r\n" % i for i in range(count))
+        raw = b"GET /healthz HTTP/1.1\r\n" + head + b"\r\n"
+        assert _exchange(cluster, raw) == status
+        assert _exchange(cluster, b"GET /healthz HTTP/1.1\r\n\r\n") == 200
 
 
 class TestKeyValidation:

@@ -1,21 +1,63 @@
 """Persistent content-addressed store for compilation results.
 
 Entries live under a two-level fan-out (``<root>/<key[:2]>/<key>.pkl``)
-keyed by :meth:`repro.engine.jobs.CompileJob.content_hash`. Each file
-is a pickled envelope ``{"schema": ..., "result": CompileResult}``;
-the schema check plus the engine version folded into the key itself
-mean stale formats simply miss.
+keyed by :meth:`repro.engine.jobs.CompileJob.content_hash`. The schema
+version is both folded into the key and stored in the entry, so stale
+formats simply miss.
+
+Entry format
+------------
+An entry stores the compiler's decisions, not its objects: one pickled
+dict made only of built-in values (str, int, float, bool, None, and
+lists, tuples and dicts of them). :func:`encode_entry` writes it and
+:func:`decode_entry` reads it; there is no other layout. Its keys:
+
+* ``schema``: :data:`~repro.engine.jobs.ENGINE_SCHEMA_VERSION`;
+* ``ddg``: the loop, as one string in the canonical JSON form of
+  :func:`repro.ddg.io.to_dict` that the job key hashes;
+* ``machine`` (the name :func:`~repro.engine.jobs.resolve_machine`
+  parses), ``scheme``, ``mii``, ``ii`` and ``causes``;
+* ``clusters``: each node's cluster, and ``replicas``, ``removed`` and
+  ``removed_comms``: the plan's node sets, with ``initial_coms`` and
+  ``feasible``. Nodes are named by *position* in the DDG's node order
+  (the order ``to_dict`` writes and ``from_dict`` restores), never by
+  uid: a worker's rebuilt DDG numbers its nodes from 0, while the
+  caller's may not;
+* ``rows``: the kernel, as ``(iid, start, bus)`` rows in the order of
+  ``Kernel.ops``;
+* ``copy_latency_override`` and ``diagnostics``.
+
+DDG binding and the rebuilt kernel
+----------------------------------
+``get(key, ddg)`` binds the DDG it is given, which the key guarantees
+is the stored one: node positions map back through its
+``node_ids()``. Without one (a key-only lookup), the stored JSON is
+parsed. Decoding checks what the entry says on its own (row shape,
+iids ``0..k-1``, starts and buses in range, the partition's cover and
+cluster range), then rebuilds the placed graph with
+:func:`~repro.schedule.placed.build_placed_graph`, a pure function of
+DDG, partition, machine and plan, and binds the stored rows to its
+instances. A plan that does not place, or rows that do not cover
+exactly the rebuilt instances, raise :class:`CacheEntryError`; so the
+:class:`~repro.pipeline.driver.CompileResult` a hit returns always has
+its kernel.
+
+Reading runs no code from the file: entries are read by an unpickler
+that refuses every global (:class:`_EntryUnpickler`), so a planted
+pickle that would construct an object or call a function is refused
+before it can. A refused entry, like any entry that fails to decode,
+is a miss.
 
 Durability rules:
 
-* **atomic writes** — payloads land in a same-directory temp file and
+* **atomic writes**: payloads land in a same-directory temp file and
   are ``os.replace``d into place, so readers never observe a torn
   entry and concurrent writers of the same key are last-writer-wins
   with either writer's bytes intact;
-* **corruption-tolerant reads** — any failure to read/unpickle an
-  entry (truncation, garbage, wrong schema, unpicklable class drift)
-  is a cache *miss*, never a crash; the bad file is best-effort
-  deleted so it is rebuilt.
+* **corruption-tolerant reads**: any failure to read or decode an
+  entry (truncation, garbage, wrong schema, a refused global, a
+  validation failure) is a cache *miss*, never a crash; the bad file
+  is best-effort deleted so it is rebuilt.
 
 ``REPRO_CACHE_DIR`` overrides the default location (which is
 ``$XDG_CACHE_HOME/repro-engine`` when ``XDG_CACHE_HOME`` is set, else
@@ -26,13 +68,25 @@ store (every lookup misses, writes are dropped).
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 import os
 import pathlib
 import pickle
 import tempfile
 
-from repro.engine.jobs import ENGINE_SCHEMA_VERSION
-from repro.pipeline.driver import CompileResult
+from repro.core.plan import ReplicationPlan
+from repro.ddg import io as ddg_io
+from repro.ddg.graph import Ddg
+from repro.engine.jobs import ENGINE_SCHEMA_VERSION, resolve_machine
+from repro.machine.config import MachineConfig
+from repro.partition.partition import Partition
+from repro.pipeline.driver import CompileDiagnostics, CompileResult
+from repro.pipeline.passes import scheme_token
+from repro.schedule.kernel import Kernel, ScheduledOp
+from repro.schedule.placed import PlacementError, build_placed_graph
+from repro.schedule.scheduler import FailureCause
+
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -62,6 +116,159 @@ def cache_root() -> pathlib.Path:
     if xdg:
         return pathlib.Path(xdg).expanduser() / "repro-engine"
     return pathlib.Path.home() / ".cache" / "repro-engine"
+
+
+class CacheEntryError(ValueError):
+    """A stored entry does not describe a result for the bound DDG."""
+
+
+class _EntryUnpickler(pickle.Unpickler):
+    """Unpickler for entries: plain built-in values only, no globals."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(
+            f"cache entries hold no globals; refused {module}.{name}"
+        )
+
+
+def _canonical_ddg(ddg: Ddg) -> str:
+    """The loop in the canonical JSON form the job key hashes."""
+    return json.dumps(ddg_io.to_dict(ddg), sort_keys=True, separators=(",", ":"))
+
+
+def encode_entry(result: CompileResult) -> bytes:
+    """The store's bytes for ``result`` (see the module docstring)."""
+    ddg = result.partition.ddg
+    uids = list(ddg.node_ids())
+    position = {uid: index for index, uid in enumerate(uids)}
+    plan = result.plan
+    kernel = result.kernel
+    diagnostics = result.diagnostics
+    entry = {
+        "schema": ENGINE_SCHEMA_VERSION,
+        "ddg": _canonical_ddg(ddg),
+        "machine": kernel.machine.name,
+        "scheme": result.scheme_name,
+        "mii": result.mii,
+        "ii": result.ii,
+        "causes": [cause.value for cause in result.causes],
+        "clusters": [result.partition.cluster_of(uid) for uid in uids],
+        "replicas": sorted(
+            (position[uid], tuple(sorted(clusters)))
+            for uid, clusters in plan.replicas.items()
+        ),
+        "removed": sorted(position[uid] for uid in plan.removed),
+        "removed_comms": sorted(position[uid] for uid in plan.removed_comms),
+        "initial_coms": plan.initial_coms,
+        "feasible": plan.feasible,
+        "rows": tuple((iid, op.start, op.bus) for iid, op in kernel.ops.items()),
+        "copy_latency_override": kernel.copy_latency_override,
+        "diagnostics": (
+            None if diagnostics is None else dataclasses.asdict(diagnostics)
+        ),
+    }
+    return pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _index(value, bound: int, what: str) -> int:
+    """``value``, checked to be an int in ``range(bound)``."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise CacheEntryError(f"{what} {value!r} out of range")
+    return value
+
+
+def _check_rows(rows, machine: MachineConfig) -> None:
+    """Rows are ``(iid, start, bus)`` triples whose iids are ``0..k-1``."""
+    if type(rows) is not tuple or not all(
+        type(row) is tuple and len(row) == 3 for row in rows
+    ):
+        raise CacheEntryError("kernel rows are not (iid, start, bus) triples")
+    if sorted(iid for iid, _, _ in rows) != list(range(len(rows))):
+        raise CacheEntryError("kernel row iids are not 0..k-1")
+    for iid, start, bus in rows:
+        if type(start) is not int or start < 0:
+            raise CacheEntryError(f"kernel row {iid} starts at {start!r}")
+        if bus is not None:
+            _index(bus, machine.bus.count, "bus")
+
+
+def decode_entry(raw: bytes, ddg: Ddg | None = None) -> CompileResult:
+    """The result stored as ``raw``, bound to ``ddg`` (see module docstring).
+
+    Raises:
+        CacheEntryError: a stale schema or an entry that fails validation,
+            including rows that do not cover the rebuilt placed graph.
+        pickle.UnpicklingError: bytes that are no pickle, or that name a
+            global.
+        Exception: anything else a damaged entry provokes while it is
+            read; :meth:`ResultCache.get` treats every failure as a miss.
+    """
+    entry = _EntryUnpickler(io.BytesIO(raw)).load()
+    if not isinstance(entry, dict) or entry.get("schema") != ENGINE_SCHEMA_VERSION:
+        raise CacheEntryError("stale or malformed cache entry")
+    if ddg is None:
+        ddg = ddg_io.from_dict(json.loads(entry["ddg"]))
+    machine = resolve_machine(entry["machine"])
+    uids = list(ddg.node_ids())
+    clusters = entry["clusters"]
+    if len(clusters) != len(uids):
+        raise CacheEntryError(
+            f"{len(clusters)} stored clusters for {len(uids)} DDG nodes"
+        )
+    partition = Partition(ddg, dict(zip(uids, clusters)), machine.n_clusters)
+    nodes = len(uids)
+    plan = ReplicationPlan(
+        replicas={
+            uids[_index(index, nodes, "node")]: frozenset(
+                _index(cluster, machine.n_clusters, "cluster") for cluster in homes
+            )
+            for index, homes in entry["replicas"]
+        },
+        removed=frozenset(uids[_index(i, nodes, "node")] for i in entry["removed"]),
+        removed_comms=frozenset(
+            uids[_index(i, nodes, "node")] for i in entry["removed_comms"]
+        ),
+        initial_coms=entry["initial_coms"],
+        feasible=entry["feasible"],
+    )
+    mii, ii = entry["mii"], entry["ii"]
+    if not (type(mii) is int and type(ii) is int and 1 <= mii <= ii):
+        raise CacheEntryError(f"bad MII/II {mii!r}/{ii!r}")
+    rows = entry["rows"]
+    _check_rows(rows, machine)
+    try:
+        graph = build_placed_graph(ddg, partition, machine, plan)
+    except PlacementError as exc:
+        raise CacheEntryError(f"stored plan does not place: {exc}") from exc
+    # Rows are iids 0..k-1 and the graph numbers its own instances from
+    # 0, so equal counts mean equal iid sets.
+    if len(graph) != len(rows):
+        raise CacheEntryError(
+            f"{len(rows)} kernel rows for {len(graph)} placed instances"
+        )
+    kernel = Kernel(
+        graph=graph,
+        machine=machine,
+        ii=ii,
+        ops={
+            iid: ScheduledOp(instance=graph.instance(iid), start=start, bus=bus)
+            for iid, start, bus in rows
+        },
+        copy_latency_override=entry["copy_latency_override"],
+    )
+    diagnostics = entry["diagnostics"]
+    return CompileResult(
+        kernel=kernel,
+        partition=partition,
+        plan=plan,
+        mii=mii,
+        ii=ii,
+        causes=[FailureCause(cause) for cause in entry["causes"]],
+        scheme=scheme_token(entry["scheme"]),
+        diagnostics=(
+            None if diagnostics is None else CompileDiagnostics(**diagnostics)
+        ),
+    )
 
 
 @dataclasses.dataclass
@@ -118,29 +325,27 @@ class ResultCache:
         """Entry path for a content hash."""
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str) -> CompileResult | None:
-        """Stored result for ``key``, or None (miss, never a crash)."""
+    def get(self, key: str, ddg: Ddg | None = None) -> CompileResult | None:
+        """Stored result for ``key``, or None (miss, never a crash).
+
+        ``ddg`` is the loop of the job whose key this is; the result
+        binds it instead of parsing the stored copy. Without it the
+        stored copy is parsed, so a lookup by key alone still works.
+        """
         if not self.enabled:
             self._misses += 1
             return None
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
-                envelope = pickle.load(handle)
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("schema") != ENGINE_SCHEMA_VERSION
-            ):
-                raise ValueError("stale or malformed cache envelope")
-            result = envelope["result"]
-            if not isinstance(result, CompileResult):
-                raise ValueError("cache entry is not a CompileResult")
+                raw = handle.read()
+            result = decode_entry(raw, ddg)
         except FileNotFoundError:
             self._misses += 1
             return None
         except Exception:
-            # Torn write, garbage, schema drift: treat as a miss and
-            # drop the entry so the next run rebuilds it.
+            # Torn write, garbage, schema drift, a refused global: treat
+            # as a miss and drop the entry so the next run rebuilds it.
             self._misses += 1
             self._evicted += 1
             try:
@@ -155,10 +360,7 @@ class ResultCache:
         """Persist a result atomically (tmp file + rename)."""
         if not self.enabled:
             return
-        raw = pickle.dumps(
-            {"schema": ENGINE_SCHEMA_VERSION, "result": result},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        raw = encode_entry(result)
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,12 @@
 
 ``run_jobs`` is the engine's front door. For every job it:
 
-1. looks the content hash up in the persistent cache (hit → done);
+1. looks the content hash up in the persistent cache (hit → done; the
+   hit binds the job's own DDG and rebuilds its kernel from the entry);
 2. otherwise compiles, either in-process (``jobs == 1`` — bit-identical
    to calling :func:`repro.pipeline.driver.compile_loop` directly) or
-   on a ``ProcessPoolExecutor`` fan-out;
+   on a ``ProcessPoolExecutor`` fan-out, and verifies the kernel
+   (:func:`repro.engine.jobs.run_job`);
 3. enforces a per-job wall-clock timeout *inside* the worker (SIGALRM)
    so an exploding search records a ``TIMEOUT`` outcome instead of
    hanging the suite or poisoning the pool;
@@ -276,7 +278,7 @@ def run_jobs(
     with obs.span("engine.run_jobs", jobs=len(jobs), workers=workers) as batch:
         pending: list[int] = []
         for index, (job, key) in enumerate(zip(jobs, keys)):
-            cached = cache.get(key)
+            cached = cache.get(key, ddg=job.ddg)
             if cached is not None:
                 results[index] = JobResult(
                     key=key,

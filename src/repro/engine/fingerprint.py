@@ -24,9 +24,15 @@ def result_canonical(result: CompileResult) -> dict:
     """JSON-ready dict of everything decision-relevant about a result.
 
     Deliberately excludes ``diagnostics`` (timings vary run to run) and
-    anything derivable from the included fields.
+    anything derivable from the included fields. Clusters and the
+    plan's node sets are listed by node position in the DDG's node
+    order, as the result store keeps them: uids are not part of a job's
+    identity (its key hashes node names), and a worker's rebuilt DDG
+    numbers its nodes from 0 whatever the caller's uids were.
     """
     plan = result.plan
+    uids = list(result.partition.ddg.node_ids())
+    position = {uid: index for index, uid in enumerate(uids)}
     return {
         "scheme": result.scheme_name,
         "mii": result.mii,
@@ -34,14 +40,15 @@ def result_canonical(result: CompileResult) -> dict:
         "kernel": result.kernel.rows(),
         "kernel_length": result.kernel.length,
         "stage_count": result.kernel.stage_count,
-        "partition": sorted(result.partition.assignment().items()),
+        "partition": [result.partition.cluster_of(uid) for uid in uids],
         "causes": [cause.value for cause in result.causes],
         "plan": {
             "replicas": sorted(
-                (uid, sorted(clusters)) for uid, clusters in plan.replicas.items()
+                (position[uid], sorted(clusters))
+                for uid, clusters in plan.replicas.items()
             ),
-            "removed": sorted(plan.removed),
-            "removed_comms": sorted(plan.removed_comms),
+            "removed": sorted(position[uid] for uid in plan.removed),
+            "removed_comms": sorted(position[uid] for uid in plan.removed_comms),
             "initial_coms": plan.initial_coms,
             "feasible": plan.feasible,
         },

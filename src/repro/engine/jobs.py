@@ -29,6 +29,8 @@ from repro.pipeline.driver import (
     UnschedulableError,
     compile_loop,
 )
+from repro.pipeline.passes import scheme_token
+from repro.sim.verifier import VerificationError, verify_kernel
 
 #: Bump to invalidate every cached result (hash input + payload check).
 #: v2: CompileResult gained the ``diagnostics`` payload (per-stage wall
@@ -53,7 +55,12 @@ from repro.pipeline.driver import (
 #: v8: counters lost every ``kernels.*`` key but ``python_calls`` and
 #: ``numpy_calls``, and every ``schedule.memo_*`` key, when the NumPy
 #: kernel backend and the cross-II schedule memo were deleted.
-ENGINE_SCHEMA_VERSION = 8
+#: v9: an entry stores the decisions as plain built-in values (the DDG
+#: as canonical JSON, node-indexed data by node position, the kernel as
+#: ``(iid, start, bus)`` rows) instead of a pickled ``CompileResult``;
+#: a load rebinds the caller's DDG and rebuilds the kernel from the
+#: rows. Every kernel now passes the verifier before it is stored.
+ENGINE_SCHEMA_VERSION = 9
 
 
 def resolve_machine(name: str) -> MachineConfig:
@@ -80,6 +87,8 @@ class ErrorKind(enum.Enum):
     ``UNSCHEDULABLE`` is a genuine result — the loop exhausted the II
     safety bound — while ``INVALID_INPUT`` flags a malformed cell (e.g.
     an empty loop) that should be fixed, not averaged over.
+    ``ILLEGAL_KERNEL`` means the compiler produced a kernel the
+    independent verifier rejects: a compiler bug, never cached.
     """
 
     NONE = ""
@@ -88,6 +97,7 @@ class ErrorKind(enum.Enum):
     TIMEOUT = "timeout"
     WORKER_DIED = "worker_died"
     INTERNAL = "internal"
+    ILLEGAL_KERNEL = "illegal_kernel"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ErrorKind.{self.name}"
@@ -160,14 +170,10 @@ class CompileJob:
     def from_wire(payload: dict) -> "CompileJob":
         """Rebuild a job from :meth:`to_wire` output."""
         flags = payload["flags"]
-        try:
-            scheme: Scheme | str = Scheme(payload["scheme"])
-        except ValueError:
-            scheme = payload["scheme"]  # a registered custom scheme
         return CompileJob(
             ddg=ddg_io.from_dict(payload["ddg"]),
             machine=payload["machine"],
-            scheme=scheme,
+            scheme=scheme_token(payload["scheme"]),
             length_replication=flags["length_replication"],
             copy_latency_override=flags["copy_latency_override"],
             spare_comms=flags["spare_comms"],
@@ -227,8 +233,10 @@ class JobResult:
 def run_job(job: CompileJob, key: str | None = None) -> JobResult:
     """Execute one job in-process, catching compile failures.
 
-    Timeouts are the executor's concern; this helper only converts
-    :class:`CompileError` into a structured ``ERROR`` result.
+    Timeouts are the executor's concern; this helper converts
+    :class:`CompileError` into a structured ``ERROR`` result, and runs
+    :func:`~repro.sim.verifier.verify_kernel` on every kernel, so an
+    illegal one ends as ``ILLEGAL_KERNEL`` and never reaches a cache.
     """
     if key is None:
         key = job.content_hash()
@@ -249,5 +257,15 @@ def run_job(job: CompileJob, key: str | None = None) -> JobResult:
             outcome=Outcome.ERROR,
             error=str(exc),
             error_kind=ErrorKind.INVALID_INPUT,
+        )
+    try:
+        verify_kernel(result.kernel)
+    except VerificationError as exc:
+        return JobResult(
+            key=key,
+            tag=job.tag,
+            outcome=Outcome.ERROR,
+            error=str(exc),
+            error_kind=ErrorKind.ILLEGAL_KERNEL,
         )
     return JobResult(key=key, tag=job.tag, outcome=Outcome.OK, result=result)

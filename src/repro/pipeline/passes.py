@@ -470,7 +470,7 @@ register_scheme(
 # ----------------------------------------------------------------------
 
 
-def _scheme_token(name: str) -> Scheme | str:
+def scheme_token(name: str) -> Scheme | str:
     """Stamp built-in schemes as enum members, custom ones as strings."""
     try:
         return Scheme(name)
@@ -557,7 +557,7 @@ def run_pass_pipeline(
                 mii=loop_mii,
                 ii=ii,
                 causes=ctx.causes,
-                scheme=_scheme_token(name),
+                scheme=scheme_token(name),
                 diagnostics=ctx.diagnostics,
             )
         raise UnschedulableError(

@@ -189,7 +189,7 @@ class JobManager:
         if record is not None:
             self._scoped.counter("deduped").inc()
             return record, AdmissionDecision(True)
-        cached = self.cache.get(key)
+        cached = self.cache.get(key, ddg=job.ddg)
         if cached is not None:
             record = self._record_cache_hit(
                 key, tag=job.tag, client=client, wire=None, result=cached

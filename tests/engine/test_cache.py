@@ -78,9 +78,9 @@ class TestCorruptionTolerance:
         self, store, compiled, stale_schema
     ):
         """Entries written under ANY earlier schema — v1 (pre-
-        diagnostics) through v7 (with the NumPy backend and schedule
-        memo counters) — must read as misses and be evicted, never
-        deserialised as-if current."""
+        diagnostics) through v8 (a pickled ``CompileResult``, refused
+        at its first global) — must read as misses and be evicted,
+        never deserialised as-if current."""
         key, result = compiled
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -91,6 +91,22 @@ class TestCorruptionTolerance:
         # A fresh put under the current schema then hits normally.
         store.put(key, result)
         assert store.get(key) is not None
+
+    def test_current_layout_under_the_previous_schema_is_a_miss(
+        self, store, compiled
+    ):
+        """A well-formed entry whose schema field is one behind is
+        refused by the schema check itself, and evicted."""
+        key, result = compiled
+        entry = pickle.loads(cache_mod.encode_entry(result))
+        entry["schema"] = cache_mod.ENGINE_SCHEMA_VERSION - 1
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle.dumps(entry))
+        with pytest.raises(cache_mod.CacheEntryError, match="stale"):
+            cache_mod.decode_entry(path.read_bytes())
+        assert store.get(key) is None
+        assert not path.exists()
 
     def test_non_result_payload_is_a_miss(self, store, compiled):
         key, _ = compiled

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, decode_entry
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import ENGINE_SCHEMA_VERSION
 from repro.machine.config import parse_config
@@ -48,9 +48,8 @@ def results():
 def _entry_writer(results, root):
     """Which writer's result the entry on disk holds (None: no writer's)."""
     raw = ResultCache(root=root, enabled=True).path_for(KEY).read_bytes()
-    envelope = pickle.loads(raw)  # must not raise: bytes are intact
-    assert envelope["schema"] == ENGINE_SCHEMA_VERSION
-    found = result_fingerprint(envelope["result"])
+    stored = decode_entry(raw)  # must not raise: bytes are intact
+    found = result_fingerprint(stored)
     for writer, result in results.items():
         if result_fingerprint(result) == found:
             return writer

@@ -9,7 +9,8 @@ from repro.engine import jobs as jobs_mod
 from repro.engine.cache import ResultCache
 from repro.engine.events import CollectingSink, EventBus, EventKind
 from repro.engine.executor import EngineConfig, configured_jobs, run_jobs
-from repro.engine.jobs import CompileJob, Outcome
+from repro.engine.jobs import CompileJob, ErrorKind, Outcome
+from repro.pipeline import passes as passes_mod
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.pipeline.metrics import loop_metrics
 from repro.workloads.specfp import benchmark_loops
@@ -137,6 +138,38 @@ class TestFailureIsolation:
         results = run_jobs(jobs, EngineConfig(jobs=2, cache=no_cache()))
         assert results[0].outcome is Outcome.ERROR
         assert "worker" in results[0].error
+
+
+def tamper_scheduler(monkeypatch):
+    """Make the pass pipeline's scheduler return an illegal kernel: one
+    op with an in-edge from another op moved to cycle -100, as the
+    verifier tests do."""
+    from tests.sim.test_verifier import tamper
+
+    real = passes_mod.schedule
+
+    def tampered(graph, machine, ii, **kwargs):
+        kernel = real(graph, machine, ii, **kwargs)
+        victim = next(
+            iid
+            for iid in kernel.ops
+            if any(edge.src != iid for edge in graph.in_edges(iid))
+        )
+        return tamper(kernel, victim, start=-100)
+
+    monkeypatch.setattr(passes_mod, "schedule", tampered)
+
+
+class TestVerification:
+    def test_illegal_kernel_is_an_error_and_never_stored(self, monkeypatch, tmp_path):
+        tamper_scheduler(monkeypatch)
+        _, jobs = suite_jobs("mgrid", limit=1)
+        store = ResultCache(root=tmp_path, enabled=True)
+        (result,) = run_jobs(jobs, EngineConfig(jobs=1, cache=store))
+        assert result.outcome is Outcome.ERROR
+        assert result.error_kind is ErrorKind.ILLEGAL_KERNEL
+        assert "dependence violated" in result.error
+        assert list(tmp_path.rglob("*")) == []
 
 
 class TestCacheIntegration:

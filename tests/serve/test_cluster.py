@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import result_fingerprint
-from repro.engine.jobs import CompileJob, Outcome
+from repro.engine.jobs import CompileJob, ErrorKind, Outcome
 from repro.machine.config import parse_config
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.serve.cluster import ServeCluster
@@ -107,3 +107,17 @@ def test_store_is_the_local_cache_layout(tmp_path):
     assert (root / key[:2] / f"{key}.pkl").exists()
     from_disk = ResultCache(root=root, enabled=True).get(key)
     assert result_fingerprint(from_disk) == result_fingerprint(served.result)
+
+
+def test_illegal_kernel_is_served_as_error_and_never_stored(tmp_path, monkeypatch):
+    """The serve path verifies too: an illegal kernel is an error and
+    leaves the store empty."""
+    from tests.engine.test_executor import tamper_scheduler
+
+    tamper_scheduler(monkeypatch)
+    root = tmp_path / "store"
+    with ServeCluster(root=root, executor="thread", workers=1) as cluster:
+        (result,) = cluster.run_jobs(_matrix()[:1])
+    assert result.outcome is Outcome.ERROR
+    assert result.error_kind is ErrorKind.ILLEGAL_KERNEL
+    assert list(root.rglob("*.pkl")) == []

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import pickle
 import socket
 import time
 
@@ -380,4 +381,34 @@ class TestCorruptEntry:
         assert redone["fingerprint"] == result_fingerprint(local)
         reloaded = ResultCache(root=tmp_path, enabled=True).get(key)
         assert reloaded is not None
+        assert result_fingerprint(reloaded) == redone["fingerprint"]
+
+    def test_entry_whose_kernel_does_not_build_is_recompiled(self, tmp_path):
+        """Rows that pass decode's own checks but miss a placed instance
+        are a miss on every path: a key-only GET answers 404, not 500,
+        and a resubmission recompiles the job."""
+        job = _job(ddg=stencil5(), tag="http/short-rows")
+        key = job.content_hash()
+        with ServeCluster(
+            root=tmp_path, executor="thread", workers=1, http=True
+        ) as cluster:
+            client = ServeClient(cluster.url, client_id="pytest")
+            client.submit(job)
+            first = client.wait(key, timeout=120.0)
+            entry = cluster.cache.path_for(key)
+            stored = pickle.loads(entry.read_bytes())
+            last = len(stored["rows"]) - 1
+            stored["rows"] = tuple(row for row in stored["rows"] if row[0] != last)
+            entry.write_bytes(pickle.dumps(stored))
+            cluster.forget_records()
+            with pytest.raises(ServeError) as missing:
+                client.status(key)
+            assert missing.value.status == 404
+            assert not entry.exists()
+            client.submit(job)
+            redone = client.wait(key, timeout=120.0)
+        assert redone["outcome"] == "ok"
+        assert redone["cached"] is False
+        assert redone["fingerprint"] == first["fingerprint"]
+        reloaded = ResultCache(root=tmp_path, enabled=True).get(key)
         assert result_fingerprint(reloaded) == redone["fingerprint"]

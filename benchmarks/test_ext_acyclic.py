@@ -8,8 +8,9 @@ report the makespan reduction.
 """
 
 from repro.acyclic.replicate import replicate_acyclic
+from repro.engine.jobs import resolve_machine
 from repro.partition.multilevel import initial_partition
-from repro.pipeline.experiments import configured_limit, machine_for
+from repro.pipeline.experiments import configured_limit
 from repro.pipeline.report import format_table
 from repro.workloads.acyclic import acyclic_blocks
 from repro.workloads.specfp import BENCHMARK_ORDER
@@ -22,7 +23,7 @@ def render_acyclic() -> tuple[str, dict[str, float]]:
     gains = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         base_total = repl_total = improved = blocks = 0
         for bench in BENCHMARK_ORDER:
             for block in acyclic_blocks(bench, limit=limit or 8):

@@ -7,8 +7,9 @@ maps the sensitivity — an experiment the paper's configuration grid
 (latency 2 vs 4) samples only twice.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import ipc_by_benchmark, machine_for
+from repro.pipeline.experiments import ipc_by_benchmark
 from repro.pipeline.report import format_table
 
 LATENCIES = (1, 2, 4, 8)
@@ -18,7 +19,7 @@ def render_sweep() -> tuple[str, dict[int, float]]:
     gains = {}
     rows = []
     for latency in LATENCIES:
-        machine = machine_for(f"4c2b{latency}l64r")
+        machine = resolve_machine(f"4c2b{latency}l64r")
         base = ipc_by_benchmark(machine, Scheme.BASELINE)["hmean"]
         repl = ipc_by_benchmark(machine, Scheme.REPLICATION)["hmean"]
         gain = repl / base - 1.0 if base else 0.0

@@ -6,9 +6,10 @@ arithmetic sits in the upper levels of the DDG, appears in many
 replication subgraphs, and is cheap to copy.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.machine.resources import FuKind
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import compile_suite, machine_for
+from repro.pipeline.experiments import compile_suite
 from repro.pipeline.metrics import added_instruction_stats
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
@@ -20,7 +21,7 @@ def render_fig10() -> tuple[str, dict[str, object]]:
     stats = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         metrics = []
         for bench in BENCHMARK_ORDER:
             metrics.extend(compile_suite(bench, machine, Scheme.REPLICATION))

@@ -8,9 +8,10 @@ finds the gap between real replication and this bound to be ~1% for
 4-cluster configs and near zero for 2-cluster ones — i.e. not worth it.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.machine.config import PAPER_CONFIG_NAMES
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import ipc_by_benchmark, machine_for
+from repro.pipeline.experiments import ipc_by_benchmark
 from repro.pipeline.report import format_table
 
 
@@ -18,7 +19,7 @@ def render_fig12() -> tuple[str, dict[str, tuple[float, float]]]:
     data = {}
     rows = []
     for name in PAPER_CONFIG_NAMES:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         repl = ipc_by_benchmark(machine, Scheme.REPLICATION)["hmean"]
         bound = ipc_by_benchmark(
             machine, Scheme.REPLICATION, copy_latency_override=0

@@ -8,7 +8,8 @@ the loop suite. Pure FU-slot conflicts (a category the paper folds
 away) are reported separately for honesty.
 """
 
-from repro.pipeline.experiments import cause_histogram, machine_for
+from repro.engine.jobs import resolve_machine
+from repro.pipeline.experiments import cause_histogram
 from repro.pipeline.report import format_table
 from repro.schedule.scheduler import FailureCause
 
@@ -19,7 +20,7 @@ def render_fig1() -> tuple[str, dict[str, dict[FailureCause, int]]]:
     rows = []
     histograms = {}
     for name in CONFIGS:
-        histogram = cause_histogram(machine_for(name))
+        histogram = cause_histogram(resolve_machine(name))
         histograms[name] = histogram
         total = sum(histogram.values()) or 1
         rows.append(

@@ -8,9 +8,10 @@ loses on aggregate, communication-bound benchmarks gain clearly, and
 mgrid/applu sit at the bottom of the gain table.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.machine.config import PAPER_CONFIG_NAMES
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import ipc_by_benchmark, machine_for
+from repro.pipeline.experiments import ipc_by_benchmark
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
 
@@ -19,7 +20,7 @@ def render_fig7() -> tuple[str, dict[str, dict[str, dict[str, float]]]]:
     data: dict[str, dict[str, dict[str, float]]] = {}
     sections = []
     for name in PAPER_CONFIG_NAMES:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         base = ipc_by_benchmark(machine, Scheme.BASELINE)
         repl = ipc_by_benchmark(machine, Scheme.REPLICATION)
         data[name] = {"baseline": base, "replication": repl}

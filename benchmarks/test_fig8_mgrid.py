@@ -6,8 +6,9 @@ communication-free partitions — hence replication has nothing to win
 on mgrid. Bars: unified, 2c1b2l, 4c1b2l, 4c2b2l (2-cycle bus latency).
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import machine_for, suite_metrics
+from repro.pipeline.experiments import suite_metrics
 from repro.pipeline.report import format_table
 
 CONFIGS = ("unified", "2c1b2l64r", "4c1b2l64r", "4c2b2l64r")
@@ -17,7 +18,7 @@ def render_fig8() -> tuple[str, dict[str, float]]:
     ipcs = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         base = suite_metrics("mgrid", machine, Scheme.BASELINE).ipc
         repl = (
             base

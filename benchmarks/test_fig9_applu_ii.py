@@ -6,12 +6,9 @@ iterations per visit, so prolog/epilog time dominates and a better II
 buys little. Both halves of that story are asserted here.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import (
-    machine_for,
-    mean_ii_reduction,
-    suite_metrics,
-)
+from repro.pipeline.experiments import mean_ii_reduction, suite_metrics
 from repro.pipeline.report import format_table
 
 CONFIGS = ("2c1b2l64r", "4c1b2l64r", "4c2b2l64r")
@@ -21,7 +18,7 @@ def render_fig9() -> tuple[str, dict[str, float]]:
     reductions = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         reduction = mean_ii_reduction("applu", machine)
         reductions[name] = reduction
         base = suite_metrics("applu", machine, Scheme.BASELINE).ipc

@@ -7,8 +7,9 @@ recovers only part of the paper's win. The benchmark quantifies that
 gap on the synthetic suite.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import ipc_by_benchmark, machine_for
+from repro.pipeline.experiments import ipc_by_benchmark
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
 
@@ -16,7 +17,7 @@ CONFIG = "4c1b2l64r"
 
 
 def render_cloning() -> tuple[str, dict[str, float]]:
-    machine = machine_for(CONFIG)
+    machine = resolve_machine(CONFIG)
     base = ipc_by_benchmark(machine, Scheme.BASELINE)
     clone = ipc_by_benchmark(machine, Scheme.VALUE_CLONING)
     repl = ipc_by_benchmark(machine, Scheme.REPLICATION)

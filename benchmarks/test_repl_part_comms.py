@@ -11,7 +11,8 @@ loops, never loses a loop to a new compilation failure, and holds the
 post-pass II on aggregate.
 """
 
-from repro.pipeline.experiments import machine_for, suite_outcomes
+from repro.engine.jobs import resolve_machine
+from repro.pipeline.experiments import suite_outcomes
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
 
@@ -30,7 +31,7 @@ def render_repl_part() -> tuple[str, dict[str, dict[str, dict[str, int]]]]:
     data: dict[str, dict[str, dict[str, int]]] = {}
     sections = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         rows = []
         totals = {
             "loops": 0, "beat": 0, "meet": 0, "lose": 0,

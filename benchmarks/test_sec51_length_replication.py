@@ -8,8 +8,9 @@ time dominant. The paper's conclusion: the realized benefit is small;
 we assert it is small and never harmful.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import compile_suite, machine_for
+from repro.pipeline.experiments import compile_suite
 from repro.pipeline.metrics import benchmark_metrics
 from repro.pipeline.report import format_table
 
@@ -20,7 +21,7 @@ def render_sec51() -> tuple[str, dict[str, tuple[float, float]]]:
     data = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         plain = benchmark_metrics(
             "applu", compile_suite("applu", machine, Scheme.REPLICATION)
         )

@@ -8,8 +8,9 @@ one on aggregate IPC, and it replicates more instructions per removed
 communication.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import compile_suite, machine_for
+from repro.pipeline.experiments import compile_suite
 from repro.pipeline.metrics import benchmark_metrics, comm_stats, harmonic_mean
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
@@ -18,7 +19,7 @@ CONFIG = "4c1b2l64r"
 
 
 def render_ablation() -> tuple[str, dict[str, object]]:
-    machine = machine_for(CONFIG)
+    machine = resolve_machine(CONFIG)
     rows = []
     minimal_ipcs, macro_ipcs = [], []
     minimal_results, macro_results = [], []

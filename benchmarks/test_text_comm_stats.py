@@ -7,8 +7,9 @@ communication requires the replication of 2.1 instructions on
 average."
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import compile_suite, machine_for
+from repro.pipeline.experiments import compile_suite
 from repro.pipeline.metrics import comm_stats
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
@@ -20,7 +21,7 @@ def render_comm_stats() -> tuple[str, dict[str, object]]:
     stats = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         results = []
         for bench in BENCHMARK_ORDER:
             results.extend(

@@ -4,8 +4,9 @@ Replication's benefit comes from relieving the bus, not the register
 files, so its speedup should persist across register-file sizes.
 """
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import ipc_by_benchmark, machine_for
+from repro.pipeline.experiments import ipc_by_benchmark
 from repro.pipeline.report import format_table
 
 CONFIGS = ("4c1b2l32r", "4c1b2l64r", "4c1b2l128r")
@@ -15,7 +16,7 @@ def render_sweep() -> tuple[str, dict[str, float]]:
     speedups = {}
     rows = []
     for name in CONFIGS:
-        machine = machine_for(name)
+        machine = resolve_machine(name)
         base = ipc_by_benchmark(machine, Scheme.BASELINE)["hmean"]
         repl = ipc_by_benchmark(machine, Scheme.REPLICATION)["hmean"]
         speedup = repl / base if base else 0.0

@@ -12,14 +12,10 @@ Run:  python examples/full_report.py [loops-per-benchmark]
 
 import sys
 
+from repro.engine.jobs import resolve_machine
 from repro.machine.resources import FuKind
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import (
-    cause_histogram,
-    compile_suite,
-    ipc_by_benchmark,
-    machine_for,
-)
+from repro.pipeline.experiments import cause_histogram, compile_suite, ipc_by_benchmark
 from repro.pipeline.metrics import added_instruction_stats, comm_stats
 from repro.pipeline.report import format_table
 from repro.workloads.specfp import BENCHMARK_ORDER
@@ -28,7 +24,7 @@ from repro.workloads.specfp import BENCHMARK_ORDER
 def main() -> None:
     limit = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     config = "4c1b2l64r"
-    machine = machine_for(config)
+    machine = resolve_machine(config)
 
     print(f"=== mini evaluation on {config}, {limit} loops/benchmark ===\n")
 

@@ -48,7 +48,7 @@ import time
 
 from repro.ddg import io as ddg_io
 from repro.ddg.graph import Ddg
-from repro.machine.config import MachineConfig, parse_config, unified_machine
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.pipeline.metrics import benchmark_metrics, loop_metrics
 from repro.pipeline.report import format_table
@@ -65,12 +65,6 @@ PATTERNS = {
     "figure3": patterns.figure3_graph,
     **DSP_KERNELS,
 }
-
-
-def _machine(name: str) -> MachineConfig:
-    if name == "unified":
-        return unified_machine()
-    return parse_config(name)
 
 
 def _loop(args: argparse.Namespace) -> Ddg:
@@ -134,7 +128,7 @@ def _resolve_schemes(args: argparse.Namespace) -> "list[Scheme | str]":
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = resolve_machine(args.machine)
     ddg = _loop(args)
     result = compile_loop(ddg, machine, scheme=_scheme(args))
     kernel = result.kernel
@@ -154,7 +148,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = resolve_machine(args.machine)
     ddg = _loop(args)
     result = compile_loop(ddg, machine, scheme=_scheme(args))
     sim = simulate(result.kernel, args.iterations)
@@ -172,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = resolve_machine(args.machine)
     rows = []
     for bench in [args.benchmark] if args.benchmark else BENCHMARK_ORDER:
         loops = benchmark_loops(bench, limit=args.limit)
@@ -256,61 +250,45 @@ def _stage_percentiles(results) -> dict[str, dict[str, float]]:
     }
 
 
-#: Diagnostics counters that are rates, not additive totals — the bench
-#: aggregation recomputes them from the summed raw counts instead.
-#: (Names are ``<stage>.<counter>`` since the obs metrics registry
-#: namespaces every counter by the pass that produced it.)
-_RATE_COUNTERS = (
-    "partition.lazy_skip_rate",
-    "partition.analysis_memo_hit_rate",
-    "partition.length_memo_hit_rate",
-    "replicate.rescore_skip_rate",
-)
-
-
 def _counter_totals(results) -> dict[str, float]:
-    """Sum diagnostics counters across jobs, recomputing the rates.
+    """Sum diagnostics counters across jobs, then derive the rates.
 
-    Counters come from the incremental move evaluator and the analysis
-    memo (see :mod:`repro.partition.incremental`); like the stage times
-    they travel with cached results, so warm runs report the original
-    compile effort.
+    Counters come from each compile's metrics registry; like the stage
+    times they travel with cached results, so warm runs report the
+    original compile effort. Compiles store only counts, so
+    :func:`_with_rates` is the one definition of each rate.
     """
     totals: dict[str, float] = {}
     for res in results:
         if res.ok and res.result.diagnostics is not None:
             for name, value in res.result.diagnostics.counters.items():
-                if name in _RATE_COUNTERS:
-                    continue
                 totals[name] = totals.get(name, 0.0) + value
-    scored = totals.get("partition.lengths_computed", 0.0) + totals.get(
-        "partition.lengths_skipped", 0.0
-    )
-    if scored:
-        totals["partition.lazy_skip_rate"] = (
-            totals.get("partition.lengths_skipped", 0.0) / scored
-        )
-    lookups = totals.get("partition.analysis_memo_hits", 0.0) + totals.get(
-        "partition.analysis_memo_misses", 0.0
-    )
-    if lookups:
-        totals["partition.analysis_memo_hit_rate"] = (
-            totals.get("partition.analysis_memo_hits", 0.0) / lookups
-        )
-    length_asks = totals.get("partition.lengths_computed", 0.0) + totals.get(
-        "partition.lengths_memoized", 0.0
-    )
-    if length_asks:
-        totals["partition.length_memo_hit_rate"] = (
-            totals.get("partition.lengths_memoized", 0.0) / length_asks
-        )
-    walks = totals.get("replicate.subgraph_walks", 0.0) + totals.get(
-        "replicate.subgraph_reused", 0.0
-    )
-    if walks:
-        totals["replicate.rescore_skip_rate"] = (
-            totals.get("replicate.subgraph_reused", 0.0) / walks
-        )
+    return _with_rates(totals)
+
+
+def _with_rates(counters: dict[str, float]) -> dict[str, float]:
+    """``counters`` plus every rate whose denominator is not zero."""
+    totals = dict(counters)
+
+    def total(*names: str) -> float:
+        return sum(totals.get(name, 0.0) for name in names)
+
+    skipped = total("partition.lengths_skipped")
+    computed = total("partition.lengths_computed")
+    memoized = total("partition.lengths_memoized")
+    hits = total("partition.analysis_memo_hits")
+    lookups = hits + total("partition.analysis_memo_misses")
+    reused = total("replicate.subgraph_reused", "replicate.removable_reused")
+    walk_asks = reused + total("replicate.subgraph_walks", "replicate.removable_walks")
+    rates = {
+        "partition.lazy_skip_rate": (skipped, skipped + computed + memoized),
+        "partition.length_memo_hit_rate": (memoized, computed + memoized),
+        "partition.analysis_memo_hit_rate": (hits, lookups),
+        "replicate.rescore_skip_rate": (reused, walk_asks),
+    }
+    for name, (part, whole) in rates.items():
+        if whole:
+            totals[name] = part / whole
     return totals
 
 
@@ -335,7 +313,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for bench in benchmarks:
         loops = suite_loops(bench, limit=limit)
         for machine_name in machines:
-            _machine(machine_name)  # validate the config string early
+            resolve_machine(machine_name)  # validate the config string early
             for scheme in schemes:
                 cells.append((bench, machine_name, scheme, loops, len(jobs)))
                 jobs.extend(
@@ -692,7 +670,7 @@ def cmd_asm(args: argparse.Namespace) -> int:
     from repro.codegen.emit import emit_assembly
     from repro.codegen.program import software_pipeline
 
-    machine = _machine(args.machine)
+    machine = resolve_machine(args.machine)
     ddg = _loop(args)
     result = compile_loop(ddg, machine, scheme=_scheme(args))
     print(emit_assembly(software_pipeline(result.kernel), name=ddg.name))
@@ -705,7 +683,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
     ddg = _loop(args)
     if args.partition:
-        machine = _machine(args.machine)
+        machine = resolve_machine(args.machine)
         from repro.ddg.analysis import mii
 
         part = initial_partition(ddg, machine, mii(ddg, machine))

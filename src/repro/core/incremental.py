@@ -35,40 +35,7 @@ from repro.core.subgraph import (
     find_replication_subgraph_traced,
 )
 from repro.core.weights import sharing_table
-
-
-@dataclasses.dataclass
-class ReplicatorStats:
-    """Observability counters for one replication run (or many).
-
-    ``*_walks`` count from-scratch graph walks; ``*_reused`` count
-    rounds where a cached walk survived the previous ``apply``.
-    """
-
-    rounds: int = 0
-    candidates_scored: int = 0
-    subgraph_walks: int = 0
-    subgraph_reused: int = 0
-    removable_walks: int = 0
-    removable_reused: int = 0
-
-    @property
-    def rescore_skip_rate(self) -> float:
-        """Fraction of walks answered from cache."""
-        reused = self.subgraph_reused + self.removable_reused
-        total = reused + self.subgraph_walks + self.removable_walks
-        return reused / total if total else 0.0
-
-    def as_counters(self) -> dict[str, int]:
-        """Flat mapping for :class:`~repro.pipeline.driver.CompileDiagnostics`."""
-        return {
-            "rounds": self.rounds,
-            "candidates_scored": self.candidates_scored,
-            "subgraph_walks": self.subgraph_walks,
-            "subgraph_reused": self.subgraph_reused,
-            "removable_walks": self.removable_walks,
-            "removable_reused": self.removable_reused,
-        }
+from repro.obs.metrics import current_registry
 
 
 @dataclasses.dataclass
@@ -88,7 +55,7 @@ class CandidateScorer:
 
     Usage::
 
-        scorer = CandidateScorer(state, stats)
+        scorer = CandidateScorer(state)
         while ...:
             best = scorer.candidates()[0]
             delta = state.apply(...)
@@ -96,12 +63,23 @@ class CandidateScorer:
 
     The scorer only ever reads ``state``; every mutation must be
     reported through :meth:`observe` or cached entries go stale.
+
+    It counts under ``replicate.`` in the current registry
+    (:func:`~repro.obs.metrics.current_registry`): ``rounds`` and
+    ``candidates_scored``; ``*_walks`` for from-scratch subgraph and
+    removable walks, ``*_reused`` for walks answered from the cache.
     """
 
-    def __init__(self, state: ReplicationState, stats: ReplicatorStats) -> None:
+    def __init__(self, state: ReplicationState) -> None:
         self._state = state
-        self._stats = stats
         self._entries: dict[int, _CandidateEntry] = {}
+        registry = current_registry()
+        self._rounds = registry.counter("replicate.rounds")
+        self._scored = registry.counter("replicate.candidates_scored")
+        self._subgraph_walks = registry.counter("replicate.subgraph_walks")
+        self._subgraph_reused = registry.counter("replicate.subgraph_reused")
+        self._removable_walks = registry.counter("replicate.removable_walks")
+        self._removable_reused = registry.counter("replicate.removable_reused")
 
     def observe(self, delta: StateDelta) -> None:
         """Invalidate exactly the cache entries ``delta`` may affect."""
@@ -140,9 +118,9 @@ class CandidateScorer:
                 home=self._state.partition.cluster_of(comm),
             )
             self._entries[comm] = entry
-            self._stats.subgraph_walks += 1
+            self._subgraph_walks.inc()
         else:
-            self._stats.subgraph_reused += 1
+            self._subgraph_reused.inc()
         return entry
 
     def _removable(self, entry: _CandidateEntry) -> list[int]:
@@ -152,20 +130,20 @@ class CandidateScorer:
             )
             entry.removable = order
             entry.visited = visited
-            self._stats.removable_walks += 1
+            self._removable_walks.inc()
         else:
-            self._stats.removable_reused += 1
+            self._removable_reused.inc()
         return entry.removable
 
     def candidates(self) -> list[Candidate]:
         """Scored feasible candidates, identical to the reference."""
         state = self._state
-        self._stats.rounds += 1
+        self._rounds.inc()
         entries = [self._entry(comm) for comm in state.active_comms()]
+        self._scored.inc(len(entries))
         sharing = sharing_table([entry.subgraph for entry in entries])
         candidates = []
         for entry in entries:
-            self._stats.candidates_scored += 1
             scored = score_subgraph(
                 state,
                 entry.subgraph,

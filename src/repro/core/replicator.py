@@ -22,7 +22,7 @@ the over-replication ablation.
 
 from __future__ import annotations
 
-from repro.core.incremental import CandidateScorer, ReplicatorStats
+from repro.core.incremental import CandidateScorer
 from repro.core.plan import ReplicationPlan
 from repro.core.removable import find_removable_instructions
 from repro.core.scoring import Candidate, candidate_sort_key, score_subgraph
@@ -67,7 +67,6 @@ def replicate(
     ii: int,
     spare_comms: int = 0,
     max_rounds: int | None = None,
-    stats: ReplicatorStats | None = None,
     initial: ReplicationPlan | None = None,
 ) -> ReplicationPlan:
     """Run the replication algorithm; see the module docstring.
@@ -80,8 +79,6 @@ def replicate(
             stop rule (ablation only; 0 reproduces the paper).
         max_rounds: safety bound on replication rounds (defaults to the
             initial communication count).
-        stats: optional :class:`ReplicatorStats` accumulating walk/reuse
-            counters across calls (the pipeline passes one per pass).
         initial: replicas already granted upstream (the replication-aware
             partitioner's in-refinement grants). They are folded into the
             starting state as a fait accompli — already present, already
@@ -106,7 +103,7 @@ def replicate(
     rounds = max_rounds if max_rounds is not None else initial_coms + spare_comms
     spare = spare_comms
     removed = 0
-    scorer = CandidateScorer(state, stats if stats is not None else ReplicatorStats())
+    scorer = CandidateScorer(state)
 
     # extra_coms is re-derived from the state every round rather than
     # counted down: removing instructions can silently kill *other*

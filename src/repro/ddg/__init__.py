@@ -15,9 +15,7 @@ times and slack.
 
 from repro.ddg.graph import Ddg, DdgError, Edge, EdgeKind, Node
 from repro.ddg.analysis import (
-    AnalysisMemoStats,
     LoopAnalysis,
-    analysis_memo_stats,
     analyze,
     mii,
     rec_mii,
@@ -40,10 +38,8 @@ __all__ = [
     "EdgeKind",
     "Node",
     "DdgBuilder",
-    "AnalysisMemoStats",
     "CsrView",
     "LoopAnalysis",
-    "analysis_memo_stats",
     "analyze",
     "csr_view",
     "mii",

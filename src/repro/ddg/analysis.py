@@ -23,8 +23,15 @@ bisection over positive-cycle probes, and each probe's verdict is kept
 in the same memo, so :func:`analyze` at an II the search found
 infeasible fails without walking the graph. Mutating the graph bumps its
 :attr:`~repro.ddg.graph.Ddg.version` and invalidates the memo
-wholesale; :func:`analysis_memo_stats` exposes hit/miss counters for
-the engine diagnostics.
+wholesale.
+
+The memo lives with the graph for the whole process, but its counters
+do not: every lookup counts into the current registry
+(:func:`~repro.obs.metrics.current_registry`) as
+``partition.analysis_memo_hits``, ``..._misses`` or ``..._prefills``,
+so a compile reports only its own lookups. A second compile of the same
+graph object finds the memo warm and counts hits where the first
+counted misses.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from repro.ddg import csr as csr_mod
 from repro.ddg.graph import Ddg, DdgError, Edge
 from repro.machine.config import MachineConfig
 from repro.machine.resources import FuKind
+from repro.obs.metrics import current_registry
 
 
 def res_mii(ddg: Ddg, machine: MachineConfig) -> int:
@@ -68,39 +76,9 @@ def _edge_weight(edge: Edge, src_latency: int, ii: int) -> int:
 
 
 @dataclasses.dataclass
-class AnalysisMemoStats:
-    """Hit/miss counters of one graph's analysis memo.
-
-    The counters survive memo invalidation (a graph mutation clears
-    the cached results, not the bookkeeping), so they describe the
-    graph's whole lifetime in this process.
-
-    ``prefills`` counts per-(version, II) positive-cycle entries written
-    as a side effect of the RecMII search and divergent analyses, so a
-    later :func:`analyze` at an II known to be infeasible fails without
-    walking the graph.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    prefills: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total memoized calls observed."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclasses.dataclass
 class _AnalysisMemo:
     version: int
     entries: dict = dataclasses.field(default_factory=dict)
-    stats: AnalysisMemoStats = dataclasses.field(default_factory=AnalysisMemoStats)
 
 
 _MEMOS: "weakref.WeakKeyDictionary[Ddg, _AnalysisMemo]" = (
@@ -119,9 +97,14 @@ def _memo_for(ddg: Ddg) -> _AnalysisMemo:
     return memo
 
 
-def analysis_memo_stats(ddg: Ddg) -> AnalysisMemoStats:
-    """Hit/miss counters of ``ddg``'s analysis memo (live object)."""
-    return _memo_for(ddg).stats
+def _count(event: str) -> None:
+    """Count one memo event: ``hits``, ``misses`` or ``prefills``.
+
+    A prefill is a positive-cycle verdict stored as a side effect of the
+    RecMII search or of a diverging analysis, so a later :func:`analyze`
+    at an II known to be infeasible fails without walking the graph.
+    """
+    current_registry().counter(f"partition.analysis_memo_{event}").inc()
 
 
 def _memoized(ddg: Ddg, key, compute):
@@ -129,11 +112,11 @@ def _memoized(ddg: Ddg, key, compute):
     try:
         result = memo.entries[key]
     except KeyError:
-        memo.stats.misses += 1
+        _count("misses")
         result = compute()
         memo.entries[key] = result
         return result
-    memo.stats.hits += 1
+    _count("hits")
     return result
 
 
@@ -155,7 +138,7 @@ def _probe_positive(memo: _AnalysisMemo, csr, ii: int) -> bool:
     if cached is None:
         cached = csr_mod.has_positive_cycle(csr, ii)
         memo.entries[key] = cached
-        memo.stats.prefills += 1
+        _count("prefills")
     return cached
 
 
@@ -324,7 +307,7 @@ def _analyze_uncached(ddg: Ddg, ii: int, max_rounds: int | None) -> LoopAnalysis
             # Full-budget divergence is exactly the positive-cycle
             # verdict; remember it for future escalation probes.
             memo.entries[("poscycle", ii)] = True
-            memo.stats.prefills += 1
+            _count("prefills")
         raise DdgError(f"ASAP relaxation diverged: II={ii} below RecMII?")
 
     length = max(begin + lat for begin, lat in zip(asap, csr.latency))

@@ -20,9 +20,11 @@ Invariants the rest of the compiler relies on:
   mutating a graph invalidates its view; the cache is weak, so views
   die with their graphs.
 
-Every relaxation kernel call adds one to a process-wide count,
-:func:`kernel_calls`; the pass pipeline reports each compilation's
-share of it as the ``kernels.python_calls`` counter.
+Every relaxation kernel call adds one to the ``kernels.python_calls``
+counter of the current registry
+(:func:`~repro.obs.metrics.current_registry`), so a compile's count
+covers exactly the kernels it ran, ``mii()``'s RecMII bisection
+included.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import weakref
 
 from repro.ddg.graph import Ddg, EdgeKind
 from repro.machine.resources import FuKind
+from repro.obs.metrics import current_registry
 
 #: FuKind members in a stable order; ``CsrView.fu_ord`` indexes this.
 FU_KINDS: tuple[FuKind, ...] = tuple(FuKind)
@@ -156,13 +159,9 @@ def csr_view(ddg: Ddg) -> CsrView:
     return view
 
 
-#: Relaxation-kernel calls made in this process; see :func:`kernel_calls`.
-_calls = 0
-
-
-def kernel_calls() -> int:
-    """Relaxation-kernel calls made in this process so far."""
-    return _calls
+def _count_call() -> None:
+    """Count one relaxation-kernel call against the running compile."""
+    current_registry().counter("kernels.python_calls").inc()
 
 
 def _view_cache(csr: CsrView) -> dict:
@@ -203,8 +202,7 @@ def has_positive_cycle(csr: CsrView, ii: int) -> bool:
     dependence cycle has positive weight and the II violates a
     recurrence.
     """
-    global _calls
-    _calls += 1
+    _count_call()
     n = csr.n_nodes
     if n == 0:
         return False
@@ -227,8 +225,7 @@ def relax_asap(
     csr: CsrView, weights: list[int], rounds: int
 ) -> list[int] | None:
     """Forward longest-path fixpoint, or None on divergence."""
-    global _calls
-    _calls += 1
+    _count_call()
     dist = [0] * csr.n_nodes
     srcs, dsts = csr.edge_src, csr.edge_dst
     for _ in range(rounds):
@@ -247,8 +244,7 @@ def relax_alap(
     csr: CsrView, weights: list[int], start: list[int], rounds: int
 ) -> list[int] | None:
     """Backward longest-path fixpoint from ``start``, or None."""
-    global _calls
-    _calls += 1
+    _count_call()
     dist = list(start)
     srcs, dsts = csr.edge_src, csr.edge_dst
     for _ in range(rounds):
@@ -277,8 +273,7 @@ def penalized_length(
     same pessimistic-but-deterministic estimate as the historical
     dict-based implementation, because edges relax in identical order.
     """
-    global _calls
-    _calls += 1
+    _count_call()
     n = csr.n_nodes
     if n == 0:
         return 0
@@ -367,10 +362,9 @@ def penalized_length_replicated(
     consumer's home cluster. Determinism mirrors the plain kernel: the
     relaxation visits edges in ``ddg.edges()`` order.
     """
-    global _calls
     if csr.n_nodes == 0:
         return 0
-    _calls += 1
+    _count_call()
     weights = replicated_edge_weights(csr, cluster, extra, bus_latency, ii)
     return _relax_length(csr, weights, rounds)
 

@@ -60,7 +60,15 @@ from repro.sim.verifier import VerificationError, verify_kernel
 #: ``(iid, start, bus)`` rows) instead of a pickled ``CompileResult``;
 #: a load rebinds the caller's DDG and rebuilds the kernel from the
 #: rows. Every kernel now passes the verifier before it is stored.
-ENGINE_SCHEMA_VERSION = 9
+#: v10: diagnostics lost the partition attempt count (always
+#: ``len(ii_trajectory)``) and the schedule attempt count (the
+#: ``schedule.attempts`` counter holds it). Counters describe exactly
+#: one compile, and the ``partition.refine_seconds`` key and the four
+#: per-compile rates (``partition.lazy_skip_rate``,
+#: ``partition.length_memo_hit_rate``,
+#: ``partition.analysis_memo_hit_rate``,
+#: ``replicate.rescore_skip_rate``) are gone.
+ENGINE_SCHEMA_VERSION = 10
 
 
 def resolve_machine(name: str) -> MachineConfig:

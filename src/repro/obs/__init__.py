@@ -11,8 +11,10 @@ A zero-dependency observability layer with three pieces:
   and are re-parented under their engine job's span.
 * **Metrics** (:mod:`repro.obs.metrics`): typed counters, gauges and
   log-bucketed histograms behind a :class:`MetricsRegistry`, replacing
-  the ad-hoc counter dicts previously threaded through the pipeline;
-  flattened snapshots still surface via ``CompileDiagnostics.counters``.
+  the ad-hoc counter dicts previously threaded through the pipeline.
+  Each compile counts into its own registry, made current for the
+  compile by :func:`use_registry`; its flattened snapshot is
+  ``CompileDiagnostics.counters``.
 * **Exporters** (:mod:`repro.obs.export`): in-memory, JSONL, and Chrome
   trace-event output (``chrome://tracing`` / Perfetto), shared with the
   engine's event sinks. :mod:`repro.obs.summary` renders text flame
@@ -48,6 +50,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     ScopedRegistry,
+    current_registry,
+    use_registry,
 )
 from repro.obs.prometheus import (
     parse_exposition,
@@ -108,6 +112,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ScopedRegistry",
+    "current_registry",
+    "use_registry",
     "NOOP_SPAN",
     "TRACE_ENV",
     "Span",

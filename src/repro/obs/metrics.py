@@ -1,14 +1,7 @@
 """Typed metrics: counters, gauges, and log-bucketed histograms.
 
-The repository used to thread ad-hoc ``dict[str, float]`` counter bags
-hand-to-hand (partitioner stats → ``PartitionPass`` →
-``CompileDiagnostics.counters`` → ``repro bench``). This module replaces
-that with a small typed registry:
-
 * :class:`Counter` — monotonically increasing total (``inc``);
-* :class:`Gauge` — last-value-wins measurement (``set``), the natural
-  carrier for the cumulative stats objects the partitioner re-reports
-  after every II attempt, and for rates;
+* :class:`Gauge` — last-value-wins measurement (``set``);
 * :class:`Histogram` — distribution over **fixed log-scale buckets**
   (default: powers of 4 seconds from 1 µs), cheap enough for hot paths
   and mergeable across processes because the bounds never move.
@@ -20,11 +13,24 @@ engine's cached-result schema a stable surface. :meth:`scoped` returns
 a namespacing view (``registry.scoped("partition").counter("x")`` owns
 ``"partition.x"``) so two pipeline passes can never silently clobber
 each other's counters.
+
+Each compile counts into its own registry. :func:`use_registry` makes a
+registry *current* in a context variable for the length of a ``with``
+block, and :func:`current_registry` returns it, so code that no compile
+argument reaches — the relaxation kernels and the analysis memo, which
+run under ``mii()``, coarsening and the pseudo-schedule — counts into
+the compile that runs it. Worker processes and thread-pool
+threads each run a compile in their own context, so concurrent
+compiles never see each other's counts. Outside every ``with`` block
+the current registry is one that nothing reads, so counting code never
+checks for "no compile".
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import threading
 
 #: Default histogram bounds: log-scale (powers of 4) seconds, 1 µs .. ~4.4 ks.
@@ -162,6 +168,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get(self, name: str, kind, *args):
+        # Hit path without the lock: a dict read is atomic, and an
+        # instrument, once registered, is never replaced.
+        instrument = self._instruments.get(name)
+        if type(instrument) is kind:
+            return instrument
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
@@ -257,3 +268,30 @@ class ScopedRegistry:
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         return ScopedRegistry(self.registry, self._name(prefix))
+
+
+#: The registry counting code writes to; see :func:`use_registry`. The
+#: default is a registry nothing reads, for code run outside a compile.
+_CURRENT: contextvars.ContextVar[MetricsRegistry] = contextvars.ContextVar(
+    "repro_obs_metrics_registry", default=MetricsRegistry()
+)
+
+
+def current_registry() -> MetricsRegistry:
+    """The registry of the compile running in this context."""
+    return _CURRENT.get()
+
+
+@contextlib.contextmanager
+def use_registry(registry: MetricsRegistry):
+    """Make ``registry`` current for the ``with`` block.
+
+    The previous registry comes back on exit, also on an exception: a
+    thread-pool thread runs job after job in one context, and a later
+    job must not count into an earlier job's registry.
+    """
+    token = _CURRENT.set(registry)
+    try:
+        yield registry
+    finally:
+        _CURRENT.reset(token)

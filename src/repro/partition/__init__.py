@@ -21,7 +21,7 @@ from repro.partition.partition import CommInfo, Partition, PartitionError
 from repro.partition.weights import edge_weights
 from repro.partition.coarsen import CoarseLevel, MacroNode, coarsen
 from repro.partition.pseudo import PseudoSchedule, pseudo_schedule
-from repro.partition.incremental import EvaluatorStats, Move, MoveEvaluator
+from repro.partition.incremental import Move, MoveEvaluator
 from repro.partition.refine import refine
 from repro.partition.multilevel import MultilevelPartitioner, initial_partition
 
@@ -35,7 +35,6 @@ __all__ = [
     "coarsen",
     "PseudoSchedule",
     "pseudo_schedule",
-    "EvaluatorStats",
     "Move",
     "MoveEvaluator",
     "refine",

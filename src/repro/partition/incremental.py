@@ -56,92 +56,9 @@ from repro.ddg.csr import (
     penalized_length_replicated,
 )
 from repro.machine.config import MachineConfig
+from repro.obs.metrics import current_registry
 from repro.partition.partition import Partition
 from repro.partition.pseudo import PseudoSchedule
-
-
-@dataclasses.dataclass
-class EvaluatorStats:
-    """Effort counters of the incremental evaluator.
-
-    Accumulates across refinement calls (the multilevel partitioner
-    keeps one instance for a loop's whole II trajectory) and feeds the
-    ``CompileDiagnostics`` counters surfaced by ``repro bench``.
-
-    Attributes:
-        pseudo_evaluations: candidate moves scored.
-        lengths_computed: bus-penalized critical-path relaxations run
-            (the expensive part of a pseudo-schedule).
-        lengths_skipped: candidate scorings decided on the cheap
-            lexicographic prefix alone, with no relaxation.
-        lengths_memoized: length asks answered from the cluster-keyed
-            memo (refinement revisits assignments constantly — undo
-            paths, re-scored candidates — and the critical path is a
-            pure function of the assignment and the II estimate).
-        moves_applied: O(degree) state updates performed (both kinds).
-        moves_reverted: applied moves that were rolled back.
-        moves_accepted: moves kept by refinement.
-        plain_moves: reassignment moves applied (trials included).
-        replicate_moves: replicate moves applied (trials included).
-        plain_accepted: reassignment moves refinement kept.
-        plain_rejected: reassignment trials refinement rolled back.
-        replicate_accepted: replicate moves refinement kept.
-        replicate_rejected: replicate trials refinement rolled back.
-        replicas_surviving: replica instances alive in the partition the
-            last replicating refinement returned.
-        refine_calls: refinement invocations observed.
-        refine_seconds: wall time spent inside refinement.
-    """
-
-    pseudo_evaluations: int = 0
-    lengths_computed: int = 0
-    lengths_skipped: int = 0
-    lengths_memoized: int = 0
-    moves_applied: int = 0
-    moves_reverted: int = 0
-    moves_accepted: int = 0
-    plain_moves: int = 0
-    replicate_moves: int = 0
-    plain_accepted: int = 0
-    plain_rejected: int = 0
-    replicate_accepted: int = 0
-    replicate_rejected: int = 0
-    replicas_surviving: int = 0
-    refine_calls: int = 0
-    refine_seconds: float = 0.0
-
-    @property
-    def lazy_skip_rate(self) -> float:
-        """Fraction of candidate scorings that avoided the relaxation."""
-        total = self.lengths_computed + self.lengths_memoized + self.lengths_skipped
-        return self.lengths_skipped / total if total else 0.0
-
-    @property
-    def length_memo_hit_rate(self) -> float:
-        """Fraction of length asks answered without a relaxation."""
-        total = self.lengths_computed + self.lengths_memoized
-        return self.lengths_memoized / total if total else 0.0
-
-    def as_counters(self) -> dict[str, float]:
-        """Flat dict for :class:`CompileDiagnostics` counters."""
-        return {
-            "pseudo_evaluations": self.pseudo_evaluations,
-            "lengths_computed": self.lengths_computed,
-            "lengths_skipped": self.lengths_skipped,
-            "lengths_memoized": self.lengths_memoized,
-            "moves_applied": self.moves_applied,
-            "moves_reverted": self.moves_reverted,
-            "moves_accepted": self.moves_accepted,
-            "moves.plain": self.plain_moves,
-            "moves.replicate": self.replicate_moves,
-            "moves.plain_accepted": self.plain_accepted,
-            "moves.plain_rejected": self.plain_rejected,
-            "moves.replicate_accepted": self.replicate_accepted,
-            "moves.replicate_rejected": self.replicate_rejected,
-            "moves.replicas_surviving": self.replicas_surviving,
-            "refine_calls": self.refine_calls,
-            "refine_seconds": self.refine_seconds,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,6 +93,13 @@ class MoveEvaluator:
 
     The evaluator never mutates the partition it was built from; call
     :meth:`to_partition` to materialize the current assignment.
+
+    It counts its work under ``partition.`` in the current registry
+    (:func:`~repro.obs.metrics.current_registry`): ``moves_applied`` and
+    ``moves_reverted`` over both move kinds, trials included
+    (:meth:`redo` counts nothing); ``moves.plain`` and
+    ``moves.replicate`` per kind; ``lengths_computed`` for relaxations
+    run and ``lengths_memoized`` for length asks the memo answered.
     """
 
     def __init__(
@@ -183,11 +107,16 @@ class MoveEvaluator:
         partition: Partition,
         machine: MachineConfig,
         ii: int,
-        stats: EvaluatorStats | None = None,
     ) -> None:
         self._machine = machine
         self._ii = ii
-        self._stats = stats if stats is not None else EvaluatorStats()
+        registry = current_registry()
+        self._moves_applied = registry.counter("partition.moves_applied")
+        self._moves_reverted = registry.counter("partition.moves_reverted")
+        self._plain_moves = registry.counter("partition.moves.plain")
+        self._replicate_moves = registry.counter("partition.moves.replicate")
+        self._lengths_computed = registry.counter("partition.lengths_computed")
+        self._lengths_memoized = registry.counter("partition.lengths_memoized")
         self._ddg = partition.ddg
         self._csr = csr_view(self._ddg)
         self._n_clusters = partition.n_clusters
@@ -300,8 +229,8 @@ class MoveEvaluator:
         """Move ``uid`` to ``cluster``; O(degree) state update."""
         position = self._csr.index[uid]
         source = self._cluster[position]
-        self._stats.moves_applied += 1
-        self._stats.plain_moves += 1
+        self._moves_applied.inc()
+        self._plain_moves.inc()
         self._shift(position, cluster)
         return Move(uid=uid, src_cluster=source, dst_cluster=cluster)
 
@@ -324,21 +253,21 @@ class MoveEvaluator:
             raise ValueError(
                 f"node {uid} already has an instance in cluster {cluster}"
             )
-        self._stats.moves_applied += 1
-        self._stats.replicate_moves += 1
+        self._moves_applied.inc()
+        self._replicate_moves.inc()
         self._grow_replica(position, cluster)
         return ReplicateMove(uid=uid, cluster=cluster)
 
     def undo(self, move: Move | ReplicateMove) -> None:
         """Roll back the most recent apply of ``move`` (LIFO order)."""
-        self._stats.moves_reverted += 1
+        self._moves_reverted.inc()
         if isinstance(move, ReplicateMove):
             self._shrink_replica(self._csr.index[move.uid], move.cluster)
         else:
             self._shift(self._csr.index[move.uid], move.src_cluster)
 
     def redo(self, move: Move | ReplicateMove) -> None:
-        """Re-apply a move just undone (no stats churn)."""
+        """Re-apply a move just undone (counted by nothing)."""
         if isinstance(move, ReplicateMove):
             self._grow_replica(self._csr.index[move.uid], move.cluster)
         else:
@@ -608,10 +537,11 @@ class MoveEvaluator:
 
         The expensive O(V·E) part of the score; callers should only ask
         when the cheap prefix ties (:func:`repro.partition.refine.refine`
-        does, and the skip rate lands in :class:`EvaluatorStats`).
+        does, and counts the asks it skipped as
+        ``partition.lengths_skipped``).
         """
         if self._csr.n_nodes == 0:
-            self._stats.lengths_computed += 1
+            self._lengths_computed.inc()
             return 0
         ii_estimate = self.prefix()[1]
         if self._extra is None:
@@ -624,9 +554,9 @@ class MoveEvaluator:
             )
         cached = self._length_memo.get(key)
         if cached is not None:
-            self._stats.lengths_memoized += 1
+            self._lengths_memoized.inc()
             return cached
-        self._stats.lengths_computed += 1
+        self._lengths_computed.inc()
         if self._extra is None:
             value = penalized_length(
                 self._csr,

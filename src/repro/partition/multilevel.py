@@ -17,9 +17,10 @@ from repro.machine.config import MachineConfig
 from repro.machine.resources import FuKind
 from repro.obs.spans import span as obs_span
 from repro.partition.coarsen import CoarseLevel, coarsen
-from repro.partition.incremental import EvaluatorStats
 from repro.partition.partition import Partition
-from repro.partition.refine import refine, refine_replicating
+# ``refine`` is not called here; perfbench's traced run patches it in
+# this module's namespace (perfbench/spans.py), so the name must exist.
+from repro.partition.refine import refine, refine_replicating  # noqa: F401
 from repro.partition.weights import edge_weights
 
 
@@ -168,15 +169,11 @@ class MultilevelPartitioner:
         ddg: the loop being partitioned.
         machine: the target machine.
         levels: coarsening hierarchy, finest level first.
-        stats: evaluator effort counters accumulated over every
-            refinement this partitioner runs (all II bumps included);
-            the pipeline copies them into the compile diagnostics.
     """
 
     ddg: Ddg
     machine: MachineConfig
     levels: list[CoarseLevel] = dataclasses.field(default_factory=list)
-    stats: EvaluatorStats = dataclasses.field(default_factory=EvaluatorStats)
 
     def initial(self, ii: int) -> Partition:
         """Coarsen (cached) and produce the preliminary partition."""
@@ -191,6 +188,12 @@ class MultilevelPartitioner:
         return Partition(self.ddg, assignment, self.machine.n_clusters)
 
     def partition(self, ii: int, move_budget: int = 64) -> Partition:
+        """:meth:`partition_replicating` with no replication budget."""
+        return self.partition_replicating(ii, move_budget, replication_budget=0)[0]
+
+    def partition_replicating(
+        self, ii: int, move_budget: int = 64, replication_budget: int = 8
+    ) -> tuple[Partition, dict[int, frozenset[int]]]:
         """Initial partition, capacity repair, then refinement.
 
         Per the paper (section 2.3.1), the number of instructions per
@@ -199,28 +202,14 @@ class MultilevelPartitioner:
         (cluster, kind) pair exceeds ``units * II`` issue slots, the
         least-attached offending node moves to the cluster with the
         most spare capacity of that kind.
-        """
-        if not self.machine.is_clustered:
-            assignment = {uid: 0 for uid in self.ddg.node_ids()}
-            return Partition(self.ddg, assignment, 1)
-        initial = self.initial(ii)
-        with obs_span("partition.repair", ii=ii):
-            repaired = _repair_capacity(initial, self.machine, ii)
-        with obs_span("partition.refine", ii=ii, budget=move_budget):
-            return refine(repaired, self.machine, ii, move_budget, stats=self.stats)
 
-    def partition_replicating(
-        self, ii: int, move_budget: int = 64, replication_budget: int = 8
-    ) -> tuple[Partition, dict[int, frozenset[int]]]:
-        """Like :meth:`partition`, with replicate moves enabled.
-
-        Coarsening and capacity repair are shared with :meth:`partition`;
-        only the refinement differs
-        (:func:`~repro.partition.refine.refine_replicating`). Returns the
-        refined partition plus the ``{uid: frozenset(clusters)}`` replica
-        grants for the post-pass replicator to treat as already granted.
-        An unclustered machine has nowhere to replicate into, so it gets
-        the trivial partition and no grants.
+        Refinement may also replicate, up to ``replication_budget``
+        replicas (:func:`~repro.partition.refine.refine_replicating`).
+        Returns the refined partition plus the ``{uid:
+        frozenset(clusters)}`` replica grants for the post-pass
+        replicator to treat as already granted. An unclustered machine
+        has nowhere to move or replicate into, so it gets the trivial
+        partition and no grants.
         """
         if not self.machine.is_clustered:
             assignment = {uid: 0 for uid in self.ddg.node_ids()}
@@ -229,7 +218,10 @@ class MultilevelPartitioner:
         with obs_span("partition.repair", ii=ii):
             repaired = _repair_capacity(initial, self.machine, ii)
         with obs_span(
-            "partition.refine", ii=ii, budget=move_budget, replicating=True
+            "partition.refine",
+            ii=ii,
+            budget=move_budget,
+            replicating=replication_budget > 0,
         ):
             return refine_replicating(
                 repaired,
@@ -237,7 +229,6 @@ class MultilevelPartitioner:
                 ii,
                 move_budget,
                 replication_budget=replication_budget,
-                stats=self.stats,
             )
 
 

@@ -18,19 +18,26 @@ II estimate, communications) ties the incumbent — a comparison that is
 decision-equivalent to ordering the full
 :attr:`~repro.partition.pseudo.PseudoSchedule.key`, because the first
 differing component decides a lexicographic order.
+
+There is one refinement loop, :func:`refine_replicating`; plain
+refinement is that loop with no replication budget, which makes the
+same moves in the same order.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.machine.config import MachineConfig
-from repro.partition.incremental import EvaluatorStats, MoveEvaluator
+from repro.obs.metrics import current_registry
+from repro.partition.incremental import MoveEvaluator
 from repro.partition.partition import Partition
 
 #: Upper bound on accepted moves per refinement call, to bound runtime
 #: on large loops (each accepted move rescans the boundary).
 _DEFAULT_MOVE_BUDGET = 64
+
+#: Upper bound on replicas granted per replicating refinement call; the
+#: pipeline overrides it from ``SchemeConfig.partition_replication_budget``.
+_DEFAULT_REPLICATION_BUDGET = 8
 
 
 def refine(
@@ -38,77 +45,17 @@ def refine(
     machine: MachineConfig,
     ii: int,
     move_budget: int = _DEFAULT_MOVE_BUDGET,
-    stats: EvaluatorStats | None = None,
 ) -> Partition:
     """Improve ``partition`` by single-node moves at a candidate II.
 
     Returns a partition whose pseudo-schedule key is <= the input's;
     the input object is never mutated (and is returned as-is when no
-    move improves it). ``stats`` accumulates evaluator effort counters
-    across calls when provided.
+    move improves it). This is :func:`refine_replicating` with no
+    replication budget.
     """
-    started = time.perf_counter()
-    if stats is None:
-        stats = EvaluatorStats()
-    stats.refine_calls += 1
-
-    evaluator = MoveEvaluator(partition, machine, ii, stats)
-    best_prefix = evaluator.prefix()
-    best_length: int | None = None  # relaxed lazily, on the first prefix tie
-    best_imbalance = evaluator.imbalance()
-    accepted = 0
-
-    try:
-        for _ in range(move_budget):
-            improved = False
-            for uid in evaluator.boundary():
-                for cluster in evaluator.move_targets(uid):
-                    move = evaluator.apply(uid, cluster)
-                    stats.pseudo_evaluations += 1
-                    prefix = evaluator.prefix()
-                    if prefix > best_prefix:
-                        stats.lengths_skipped += 1
-                        evaluator.undo(move)
-                        stats.plain_rejected += 1
-                        continue
-                    if prefix < best_prefix:
-                        stats.lengths_skipped += 1
-                        length: int | None = None
-                        imbalance = evaluator.imbalance()
-                    else:
-                        if best_length is None:
-                            # The incumbent's length was never needed
-                            # until now; flip the move off to measure it.
-                            evaluator.undo(move)
-                            best_length = evaluator.length()
-                            evaluator.redo(move)
-                        length = evaluator.length()
-                        imbalance = evaluator.imbalance()
-                        if (length, imbalance) >= (best_length, best_imbalance):
-                            evaluator.undo(move)
-                            stats.plain_rejected += 1
-                            continue
-                    best_prefix = prefix
-                    best_length = length
-                    best_imbalance = imbalance
-                    accepted += 1
-                    stats.moves_accepted += 1
-                    stats.plain_accepted += 1
-                    improved = True
-                    break
-                if improved:
-                    break
-            if not improved:
-                break
-    finally:
-        stats.refine_seconds += time.perf_counter() - started
-
-    return evaluator.to_partition() if accepted else partition
-
-
-#: Upper bound on replicas granted per replicating refinement call; the
-#: pipeline overrides it from ``SchemeConfig.partition_replication_budget``.
-_DEFAULT_REPLICATION_BUDGET = 8
+    return refine_replicating(
+        partition, machine, ii, move_budget, replication_budget=0
+    )[0]
 
 
 def refine_replicating(
@@ -117,52 +64,59 @@ def refine_replicating(
     ii: int,
     move_budget: int = _DEFAULT_MOVE_BUDGET,
     replication_budget: int = _DEFAULT_REPLICATION_BUDGET,
-    stats: EvaluatorStats | None = None,
 ) -> tuple[Partition, dict[int, frozenset[int]]]:
     """Refinement where "replicate into a cluster" is a first-class move.
 
-    Each round first tries plain reassignments exactly like
-    :func:`refine`; only when no plain move improves the incumbent does
-    it try cloning a communicating producer into one of its consumer
-    clusters (:meth:`MoveEvaluator.apply_replicate`). Replicate moves
-    are scored with the same lazy lexicographic rule — the cheap prefix
-    (capacity, II estimate, communications) decides first, and the
-    bus-penalized length (which a replica can shorten by localising its
-    register edges) is only relaxed on prefix ties. At most
-    ``replication_budget`` replicas survive to the returned plan.
+    Each round first tries plain reassignments of boundary nodes; only
+    when no plain move improves the incumbent does it try cloning a
+    communicating producer into one of its consumer clusters
+    (:meth:`MoveEvaluator.apply_replicate`). Both move kinds are scored
+    with the same lazy lexicographic rule — the cheap prefix (capacity,
+    II estimate, communications) decides first, and the bus-penalized
+    length (which a replica can shorten by localising its register
+    edges) is only relaxed on prefix ties. At most
+    ``replication_budget`` replicas survive to the returned plan; at 0
+    no replicate move is tried.
 
     Returns the refined partition (home assignment only — replicas are
     *not* partition nodes) plus the replica grants as a
     ``{producer uid: frozenset(clusters)}`` mapping for the post-pass
     replicator to treat as already granted.
-    """
-    started = time.perf_counter()
-    if stats is None:
-        stats = EvaluatorStats()
-    stats.refine_calls += 1
 
-    evaluator = MoveEvaluator(partition, machine, ii, stats)
+    Counts into the current registry under ``partition.``: one
+    ``refine_calls``, ``pseudo_evaluations`` per trial move,
+    ``lengths_skipped`` per trial decided on the prefix alone,
+    ``moves_accepted`` and the ``moves.*_accepted``/``*_rejected``
+    splits per kind, and the ``moves.replicas_surviving`` gauge.
+    """
+    evaluator = MoveEvaluator(partition, machine, ii)
     best_prefix = evaluator.prefix()
     best_length: int | None = None  # relaxed lazily, on the first prefix tie
     best_imbalance = evaluator.imbalance()
     accepted = 0
     replicas_granted = 0
+    # Counted in locals and published once: this loop is the hot path.
+    evaluations = skipped = 0
+    plain_accepted = plain_rejected = 0
+    replicate_accepted = replicate_rejected = 0
 
     def consider(move: object) -> bool:
         """Accept or undo one trial move under the shared lazy scoring."""
-        nonlocal best_prefix, best_length, best_imbalance
-        stats.pseudo_evaluations += 1
+        nonlocal best_prefix, best_length, best_imbalance, evaluations, skipped
+        evaluations += 1
         prefix = evaluator.prefix()
         if prefix > best_prefix:
-            stats.lengths_skipped += 1
+            skipped += 1
             evaluator.undo(move)
             return False
         if prefix < best_prefix:
-            stats.lengths_skipped += 1
+            skipped += 1
             length: int | None = None
             imbalance = evaluator.imbalance()
         else:
             if best_length is None:
+                # The incumbent's length was never needed until now;
+                # flip the move off to measure it.
                 evaluator.undo(move)
                 best_length = evaluator.length()
                 evaluator.redo(move)
@@ -174,39 +128,49 @@ def refine_replicating(
         best_prefix = prefix
         best_length = length
         best_imbalance = imbalance
-        stats.moves_accepted += 1
         return True
 
-    try:
-        for _ in range(move_budget):
-            improved = False
-            for uid in evaluator.boundary():
-                for cluster in evaluator.move_targets(uid):
-                    if consider(evaluator.apply(uid, cluster)):
-                        stats.plain_accepted += 1
+    for _ in range(move_budget):
+        improved = False
+        for uid in evaluator.boundary():
+            for cluster in evaluator.move_targets(uid):
+                if consider(evaluator.apply(uid, cluster)):
+                    plain_accepted += 1
+                    improved = True
+                    break
+                plain_rejected += 1
+            if improved:
+                break
+        if not improved and replicas_granted < replication_budget:
+            for uid in evaluator.replicate_candidates():
+                for cluster in evaluator.replicate_targets(uid):
+                    if consider(evaluator.apply_replicate(uid, cluster)):
+                        replicate_accepted += 1
+                        replicas_granted += 1
                         improved = True
                         break
-                    stats.plain_rejected += 1
+                    replicate_rejected += 1
                 if improved:
                     break
-            if not improved and replicas_granted < replication_budget:
-                for uid in evaluator.replicate_candidates():
-                    for cluster in evaluator.replicate_targets(uid):
-                        if consider(evaluator.apply_replicate(uid, cluster)):
-                            stats.replicate_accepted += 1
-                            replicas_granted += 1
-                            improved = True
-                            break
-                        stats.replicate_rejected += 1
-                    if improved:
-                        break
-            if not improved:
-                break
-            accepted += 1
-    finally:
-        stats.refine_seconds += time.perf_counter() - started
+        if not improved:
+            break
+        accepted += 1
 
     grants = evaluator.replicas()
-    stats.replicas_surviving = sum(len(clusters) for clusters in grants.values())
+    registry = current_registry()
+    for name, count in (
+        ("refine_calls", 1),
+        ("pseudo_evaluations", evaluations),
+        ("lengths_skipped", skipped),
+        ("moves_accepted", accepted),
+        ("moves.plain_accepted", plain_accepted),
+        ("moves.plain_rejected", plain_rejected),
+        ("moves.replicate_accepted", replicate_accepted),
+        ("moves.replicate_rejected", replicate_rejected),
+    ):
+        registry.counter(f"partition.{name}").inc(count)
+    registry.gauge("partition.moves.replicas_surviving").set(
+        sum(len(clusters) for clusters in grants.values())
+    )
     result = evaluator.to_partition() if accepted else partition
     return result, grants

@@ -72,23 +72,21 @@ class CompileDiagnostics:
     Attributes:
         stage_seconds: wall time per pass name, accumulated across every
             II attempt.
-        partition_attempts: how many times the partition pass ran (one
-            per II attempt).
-        schedule_attempts: how many times the modulo scheduler ran
-            (attempts that failed earlier — e.g. bus-infeasible — never
-            reach it).
         ii_trajectory: every II attempted, in order (strictly
-            increasing; the last entry is the achieved II).
-        counters: named effort counters from the optimization machinery
-            (incremental-evaluator work, lazy-length skip rate, analysis
-            memo hit rate), namespaced ``<stage>.<name>`` so two passes
-            can never clobber each other; produced by flattening the
-            compilation's :class:`repro.obs.metrics.MetricsRegistry`.
+            increasing; the last entry is the achieved II). Its length
+            is the number of partition attempts.
+        counters: named effort counters of this one compile
+            (incremental-evaluator work, analysis memo lookups,
+            replicator walks, relaxation-kernel calls, scheduler
+            attempts as ``schedule.attempts``), namespaced
+            ``<stage>.<name>`` so two passes can never clobber each
+            other: the flattened snapshot of the compilation's
+            :class:`repro.obs.metrics.MetricsRegistry`. Only counts are
+            stored; rates are derived from summed counts by ``repro
+            bench``.
     """
 
     stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
-    partition_attempts: int = 0
-    schedule_attempts: int = 0
     ii_trajectory: list[int] = dataclasses.field(default_factory=list)
     counters: dict[str, float] = dataclasses.field(default_factory=dict)
 
@@ -100,39 +98,6 @@ class CompileDiagnostics:
     def add_stage_time(self, stage: str, seconds: float) -> None:
         """Accumulate wall time against a pass name."""
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def merge_counters(
-        self, counters: dict[str, float], stage: str | None = None
-    ) -> None:
-        """Overwrite named effort counters with their latest totals.
-
-        Passes report cumulative counters (the underlying stats objects
-        accumulate across II attempts), so within one namespace the
-        last merge wins. ``stage`` prefixes every un-namespaced name as
-        ``<stage>.<name>`` — without it, two passes reporting the same
-        counter name would silently overwrite each other.
-        """
-        for name, value in counters.items():
-            if stage is not None and not name.startswith(f"{stage}."):
-                name = f"{stage}.{name}"
-            self.counters[name] = value
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (stage times rounded to microseconds)."""
-        return {
-            "stage_seconds": {
-                stage: round(seconds, 6)
-                for stage, seconds in self.stage_seconds.items()
-            },
-            "total_seconds": round(self.total_seconds, 6),
-            "partition_attempts": self.partition_attempts,
-            "schedule_attempts": self.schedule_attempts,
-            "ii_trajectory": list(self.ii_trajectory),
-            "counters": {
-                name: round(value, 6) if isinstance(value, float) else value
-                for name, value in self.counters.items()
-            },
-        }
 
 
 @dataclasses.dataclass
@@ -149,8 +114,9 @@ class CompileResult:
         scheme: which compiler variant produced this result — a
             :class:`Scheme` member for the built-in stacks, the registry
             key string for schemes registered at runtime.
-        diagnostics: per-stage wall time, attempt counts and the full II
-            trajectory (None only for results built by hand).
+        diagnostics: per-stage wall time, the full II trajectory and the
+            compile's effort counters (None only for results built by
+            hand).
     """
 
     kernel: Kernel

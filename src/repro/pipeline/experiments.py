@@ -26,7 +26,7 @@ import os
 
 from repro.engine.executor import EngineConfig, run_jobs
 from repro.engine.jobs import CompileJob, ErrorKind, JobResult
-from repro.machine.config import MachineConfig, parse_config, unified_machine
+from repro.machine.config import MachineConfig
 from repro.pipeline.driver import Scheme
 from repro.pipeline.metrics import (
     BenchmarkMetrics,
@@ -66,13 +66,6 @@ def configured_limit() -> int | None:
             f" or 'all' for the full suite; got {raw!r}"
         )
     return max(1, value)
-
-
-def machine_for(name: str) -> MachineConfig:
-    """Parse a config name, accepting ``"unified"``."""
-    if name == "unified":
-        return unified_machine()
-    return parse_config(name)
 
 
 @dataclasses.dataclass(frozen=True)

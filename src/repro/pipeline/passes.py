@@ -8,8 +8,13 @@ typed :class:`StageFailure` (or let a
 :class:`~repro.schedule.scheduler.ScheduleFailure` propagate), upon
 which the driver records the cause, asks its
 :class:`IIEscalationPolicy` for the next II and retries. Per-pass wall
-time, attempt counts and the II trajectory accumulate in
+time and the II trajectory accumulate in
 :class:`~repro.pipeline.driver.CompileDiagnostics` on the result.
+
+Each compile counts its effort into its own
+:class:`~repro.obs.metrics.MetricsRegistry`, ``ctx.metrics``, which
+:func:`run_pass_pipeline` makes current for the whole call (``mii()``
+included), so code no compile argument reaches counts into it too.
 
 Compiler variants are *registered*, not hard-coded: the string-keyed
 scheme registry maps a name to a builder that assembles a pass stack
@@ -35,16 +40,14 @@ from collections.abc import Callable
 from typing import Protocol, runtime_checkable
 
 from repro.core.cloning import clone_values
-from repro.core.incremental import ReplicatorStats
 from repro.core.length import replicate_for_length
 from repro.core.macro import macro_replicate
 from repro.core.plan import EMPTY_PLAN, ReplicationPlan
 from repro.core.replicator import replicate
-from repro.ddg.analysis import analysis_memo_stats, mii
-from repro.ddg.csr import kernel_calls
+from repro.ddg.analysis import mii
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import span as obs_span
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.partition import Partition
@@ -119,9 +122,9 @@ class CompilationContext:
     which folds them into its starting state as already granted.
 
     ``metrics`` is the compilation's typed effort registry (see
-    :mod:`repro.obs.metrics`): each pass records through a view scoped
-    to its own name (``ctx.pass_metrics(self)``), so counters from
-    different passes land under distinct ``<stage>.<name>`` keys; the
+    :mod:`repro.obs.metrics`), current for the whole compile: passes
+    write ``<stage>.<name>`` keys into it directly, and code below the
+    passes through :func:`~repro.obs.metrics.current_registry`. The
     driver flattens the registry into ``diagnostics.counters`` when the
     compilation finishes.
     """
@@ -142,10 +145,6 @@ class CompilationContext:
         default_factory=CompileDiagnostics
     )
     metrics: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
-
-    def pass_metrics(self, stage: "Pass"):
-        """Metrics view namespaced under the pass's stage name."""
-        return self.metrics.scoped(stage.name)
 
     def begin_attempt(self, ii: int) -> None:
         """Reset per-attempt products and record the II being tried."""
@@ -173,25 +172,50 @@ class Pass(Protocol):
     def run(self, ctx: CompilationContext) -> None: ...
 
 
-def record_partition_metrics(ctx: CompilationContext, stage: "Pass") -> None:
-    """Publish the partitioner's cumulative counters as stage gauges.
+#: The ``partition.*`` counters every partitioning pass reports, zeros
+#: included. A snapshot lists only instruments that exist, and a compile
+#: on an unclustered machine never refines, while one over a warm
+#: analysis memo may never prefill.
+PARTITION_COUNTERS = (
+    "partition.pseudo_evaluations",
+    "partition.lengths_computed",
+    "partition.lengths_skipped",
+    "partition.lengths_memoized",
+    "partition.moves_applied",
+    "partition.moves_reverted",
+    "partition.moves_accepted",
+    "partition.moves.plain",
+    "partition.moves.replicate",
+    "partition.moves.plain_accepted",
+    "partition.moves.plain_rejected",
+    "partition.moves.replicate_accepted",
+    "partition.moves.replicate_rejected",
+    "partition.refine_calls",
+    "partition.analysis_memo_hits",
+    "partition.analysis_memo_misses",
+    "partition.analysis_memo_prefills",
+)
 
-    The stats objects are cumulative across II attempts, so the gauges
-    after the last attempt carry the compilation's totals. Shared by
-    every partitioning pass (plain and replicating).
+#: The ``replicate.*`` counters the section 3 planning pass reports,
+#: zeros included (a partition with no communication never scores).
+REPLICATE_COUNTERS = (
+    "replicate.rounds",
+    "replicate.candidates_scored",
+    "replicate.subgraph_walks",
+    "replicate.subgraph_reused",
+    "replicate.removable_walks",
+    "replicate.removable_reused",
+)
+
+
+def declare_partition_counters(ctx: CompilationContext) -> None:
+    """Register every ``partition.*`` instrument of the compile at zero.
+
+    Shared by every partitioning pass (plain and replicating).
     """
-    metrics = ctx.pass_metrics(stage)
-    for name, value in ctx.partitioner.stats.as_counters().items():
-        metrics.gauge(name).set(value)
-    metrics.gauge("lazy_skip_rate").set(ctx.partitioner.stats.lazy_skip_rate)
-    metrics.gauge("length_memo_hit_rate").set(
-        ctx.partitioner.stats.length_memo_hit_rate
-    )
-    memo = analysis_memo_stats(ctx.ddg)
-    metrics.gauge("analysis_memo_hits").set(memo.hits)
-    metrics.gauge("analysis_memo_misses").set(memo.misses)
-    metrics.gauge("analysis_memo_prefills").set(memo.prefills)
-    metrics.gauge("analysis_memo_hit_rate").set(memo.hit_rate)
+    for name in PARTITION_COUNTERS:
+        ctx.metrics.counter(name)
+    ctx.metrics.gauge("partition.moves.replicas_surviving")
 
 
 class PartitionPass:
@@ -200,9 +224,8 @@ class PartitionPass:
     name = "partition"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.diagnostics.partition_attempts += 1
+        declare_partition_counters(ctx)
         ctx.partition = ctx.partitioner.partition(ctx.ii)
-        record_partition_metrics(ctx, self)
 
 
 class BusFeasibilityPass:
@@ -249,23 +272,16 @@ class ReplicatePlanPass:
 
     name = "replicate"
 
-    def __init__(self) -> None:
-        # Cumulative across II attempts, like the partitioner's stats.
-        self._stats = ReplicatorStats()
-
     def run(self, ctx: CompilationContext) -> None:
+        for name in REPLICATE_COUNTERS:
+            ctx.metrics.counter(name)
         plan = replicate(
             ctx.partition,
             ctx.machine,
             ctx.ii,
             spare_comms=ctx.config.spare_comms,
-            stats=self._stats,
             initial=ctx.pre_replicas,
         )
-        metrics = ctx.pass_metrics(self)
-        for name, value in self._stats.as_counters().items():
-            metrics.gauge(name).set(value)
-        metrics.gauge("rescore_skip_rate").set(self._stats.rescore_skip_rate)
         if not plan.feasible:
             raise StageFailure(
                 FailureCause.BUS,
@@ -334,8 +350,7 @@ class SchedulePass:
     name = "schedule"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.diagnostics.schedule_attempts += 1
-        ctx.pass_metrics(self).counter("attempts").inc()
+        ctx.metrics.counter("schedule.attempts").inc()
         ctx.kernel = schedule(
             ctx.graph,
             ctx.machine,
@@ -492,6 +507,9 @@ def run_pass_pipeline(
     the result's diagnostics); a failing pass records its cause and the
     escalation policy picks the next II, up to the safety bound.
 
+    The compile counts into a fresh registry, current for the whole
+    call (``mii()`` included); its snapshot is ``diagnostics.counters``.
+
     Raises:
         UnschedulableError: no II within the bound yielded a schedule.
         CompileError: empty loop or unknown scheme.
@@ -503,21 +521,37 @@ def run_pass_pipeline(
     escalation = escalation if escalation is not None else DEFAULT_ESCALATION
     stack = build_pass_stack(name, config)
 
-    loop_mii = mii(ddg, machine)
-    bound = max_ii if max_ii is not None else 16 * loop_mii + 4 * len(ddg) + 64
-    ctx = CompilationContext(
-        ddg=ddg,
-        machine=machine,
-        config=config,
-        partitioner=MultilevelPartitioner(ddg=ddg, machine=machine),
-        mii=loop_mii,
-        ii=loop_mii,
-    )
+    metrics = MetricsRegistry()
+    with use_registry(metrics):
+        loop_mii = mii(ddg, machine)
+        ctx = CompilationContext(
+            ddg=ddg,
+            machine=machine,
+            config=config,
+            partitioner=MultilevelPartitioner(ddg=ddg, machine=machine),
+            mii=loop_mii,
+            ii=loop_mii,
+            metrics=metrics,
+        )
+        metrics.counter("kernels.python_calls")
+        # Always 0: perfbench/layers.py sums this key with python_calls
+        # into ddg.kernel_calls and fails a traced run that lacks it.
+        metrics.gauge("kernels.numpy_calls")
+        bound = max_ii if max_ii is not None else 16 * loop_mii + 4 * len(ddg) + 64
+        return _attempt_loop(ctx, stack, name, bound, escalation)
 
-    ii = loop_mii
-    calls_base = kernel_calls()
+
+def _attempt_loop(
+    ctx: CompilationContext,
+    stack: list[Pass],
+    name: str,
+    bound: int,
+    escalation: IIEscalationPolicy,
+) -> CompileResult:
+    """Figure 2's retry loop: run the stack from II = MII up to ``bound``."""
+    ii = ctx.mii
     with obs_span(
-        "pipeline.compile", loop=ddg.name, scheme=name, mii=loop_mii
+        "pipeline.compile", loop=ctx.ddg.name, scheme=name, mii=ctx.mii
     ) as compile_span:
         while ii <= bound:
             ctx.begin_attempt(ii)
@@ -543,25 +577,20 @@ def run_pass_pipeline(
                 ii = escalation.next_ii(ii, failure)
                 continue
             compile_span.set(ii=ii, attempts=len(ctx.diagnostics.ii_trajectory))
-            kernels = ctx.metrics.scoped("kernels")
-            kernels.gauge("python_calls").set(kernel_calls() - calls_base)
-            # Always 0: perfbench/layers.py sums this key with
-            # python_calls into ddg.kernel_calls and fails a traced run
-            # that lacks it.
-            kernels.gauge("numpy_calls").set(0)
-            ctx.diagnostics.merge_counters(ctx.metrics.snapshot())
+            ctx.diagnostics.counters = ctx.metrics.snapshot()
             return CompileResult(
                 kernel=ctx.kernel,
                 partition=ctx.partition,
                 plan=ctx.plan,
-                mii=loop_mii,
+                mii=ctx.mii,
                 ii=ii,
                 causes=ctx.causes,
                 scheme=scheme_token(name),
                 diagnostics=ctx.diagnostics,
             )
         raise UnschedulableError(
-            f"loop {ddg.name!r} unschedulable on {machine.name} within II <= {bound}"
+            f"loop {ctx.ddg.name!r} unschedulable on {ctx.machine.name}"
+            f" within II <= {bound}"
         )
 
 

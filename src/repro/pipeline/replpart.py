@@ -36,7 +36,7 @@ from repro.pipeline.passes import (
     SchedulePass,
     SchemeConfig,
     StageFailure,
-    record_partition_metrics,
+    declare_partition_counters,
     register_scheme,
 )
 from repro.schedule.scheduler import FailureCause
@@ -51,7 +51,7 @@ class ReplicatingPartitionPass:
     name = "partition"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.diagnostics.partition_attempts += 1
+        declare_partition_counters(ctx)
         partition, grants = ctx.partitioner.partition_replicating(
             ctx.ii,
             replication_budget=ctx.config.partition_replication_budget,
@@ -63,7 +63,6 @@ class ReplicatingPartitionPass:
                 initial_coms=0,
                 feasible=True,
             )
-        record_partition_metrics(ctx, self)
 
 
 class ReplicaAwareFeasibilityPass:

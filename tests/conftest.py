@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.engine import cache as engine_cache
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -126,3 +127,14 @@ def chain_ddg():
     b.load("ld").fp_op("add").store("st")
     b.dep("ld", "add").dep("add", "st")
     return b.build()
+
+
+@pytest.fixture
+def current_metrics():
+    """A fresh metrics registry, current for the whole test.
+
+    Code under test outside a compile counts into it, as it would into
+    a compile's registry.
+    """
+    with use_registry(MetricsRegistry()) as registry:
+        yield registry

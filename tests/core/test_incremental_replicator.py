@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.core.incremental import CandidateScorer, ReplicatorStats
+from repro.cli import _with_rates
+from repro.core.incremental import CandidateScorer
 from repro.core.replicator import replicate, score_candidates
 from repro.core.state import ReplicationState
 from repro.ddg.builder import DdgBuilder
@@ -67,7 +68,7 @@ class TestScorerParity:
         rng = random.Random(seed)
         partition, machine, ii = random_case(rng)
         state = ReplicationState(partition, machine, ii)
-        scorer = CandidateScorer(state, ReplicatorStats())
+        scorer = CandidateScorer(state)
 
         for _ in range(len(partition.ddg) + 1):
             expected = score_candidates(state)
@@ -86,8 +87,7 @@ class TestScorerParity:
     def test_replicate_matches_reference_loop(self, seed):
         rng = random.Random(seed)
         partition, machine, ii = random_case(rng)
-        stats = ReplicatorStats()
-        plan = replicate(partition, machine, ii, stats=stats)
+        plan = replicate(partition, machine, ii)
 
         # Reference: the historical loop, re-scoring from scratch.
         state = ReplicationState(partition, machine, ii)
@@ -112,7 +112,7 @@ class TestScorerParity:
 
 
 class TestScorerReuse:
-    def test_independent_comms_reuse_cached_walks(self):
+    def test_independent_comms_reuse_cached_walks(self, current_metrics):
         """Replicating one far corner must not re-walk the other."""
         b = DdgBuilder()
         # Two disjoint producer->consumer pairs crossing clusters.
@@ -131,10 +131,11 @@ class TestScorerReuse:
             4,
         )
         state = ReplicationState(partition, machine, ii=2)
-        stats = ReplicatorStats()
-        scorer = CandidateScorer(state, stats)
+        walks = current_metrics.counter("replicate.subgraph_walks")
+        reused = current_metrics.counter("replicate.subgraph_reused")
+        scorer = CandidateScorer(state)
         first = scorer.candidates()
-        assert stats.subgraph_walks == 2
+        assert walks.value == 2
         best = first[0]
         delta = state.apply(
             best.subgraph.comm, dict(best.subgraph.needed), best.removable
@@ -142,11 +143,15 @@ class TestScorerReuse:
         scorer.observe(delta)
         scorer.candidates()
         # The untouched communication's subgraph came from the cache.
-        assert stats.subgraph_reused >= 1
+        assert reused.value >= 1
 
     def test_skip_rate_counts_both_walks(self):
-        stats = ReplicatorStats(
-            subgraph_walks=1, subgraph_reused=2, removable_walks=1
+        rates = _with_rates(
+            {
+                "replicate.subgraph_walks": 1,
+                "replicate.subgraph_reused": 2,
+                "replicate.removable_walks": 1,
+            }
         )
-        assert stats.rescore_skip_rate == 0.5
-        assert ReplicatorStats().rescore_skip_rate == 0.0
+        assert rates["replicate.rescore_skip_rate"] == 0.5
+        assert "replicate.rescore_skip_rate" not in _with_rates({})

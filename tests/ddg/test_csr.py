@@ -1,6 +1,6 @@
 """Flattened CSR view, relaxation kernels and the analysis memo."""
 
-from repro.ddg.analysis import analysis_memo_stats, analyze, rec_mii
+from repro.ddg.analysis import analyze, rec_mii
 from repro.ddg.builder import DdgBuilder
 from repro.ddg.csr import csr_view, has_positive_cycle, penalized_length
 from repro.ddg.graph import EdgeKind
@@ -102,21 +102,22 @@ class TestKernels:
 
 
 class TestAnalysisMemo:
-    def test_repeat_analyze_hits_the_memo(self):
+    def test_repeat_analyze_hits_the_memo(self, current_metrics):
         g = chain_with_recurrence()
         ii = rec_mii(g)
         first = analyze(g, ii)
         assert analyze(g, ii) is first  # shared memoized object
-        assert analysis_memo_stats(g).hits >= 1
+        assert current_metrics.counter("partition.analysis_memo_hits").value >= 1
 
-    def test_mutation_invalidates_but_keeps_stats(self):
+    def test_mutation_invalidates_but_keeps_stats(self, current_metrics):
         g = chain_with_recurrence()
         ii = rec_mii(g)
         first = analyze(g, ii)
-        hits_before = analysis_memo_stats(g).hits
+        hits = current_metrics.counter("partition.analysis_memo_hits")
+        hits_before = hits.value
         g.add_node("late", g.node_by_name("a").op_class)
         assert analyze(g, ii) is not first
-        assert analysis_memo_stats(g).hits == hits_before
+        assert hits.value == hits_before
 
     def test_distinct_iis_are_distinct_entries(self):
         g = chain_with_recurrence()

@@ -78,9 +78,10 @@ class TestCorruptionTolerance:
         self, store, compiled, stale_schema
     ):
         """Entries written under ANY earlier schema — v1 (pre-
-        diagnostics) through v8 (a pickled ``CompileResult``, refused
-        at its first global) — must read as misses and be evicted,
-        never deserialised as-if current."""
+        diagnostics) through v9, each written here as a pickled
+        ``CompileResult`` that is refused at its first global — must
+        read as misses and be evicted, never deserialised as-if
+        current."""
         key, result = compiled
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -125,7 +125,7 @@ class TestRoundTrip:
     def test_diagnostics_survive(self, store):
         _, key, fresh = _stored(store, stencil5())
         loaded = store.get(key)
-        assert loaded.diagnostics.to_dict() == fresh.diagnostics.to_dict()
+        assert loaded.diagnostics == fresh.diagnostics
 
 
 def _damage(store, key, change):

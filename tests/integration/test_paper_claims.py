@@ -7,13 +7,9 @@ four loops per benchmark).
 
 import pytest
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline.driver import Scheme
-from repro.pipeline.experiments import (
-    clear_cache,
-    compile_suite,
-    ipc_by_benchmark,
-    machine_for,
-)
+from repro.pipeline.experiments import clear_cache, compile_suite, ipc_by_benchmark
 from repro.pipeline.metrics import comm_stats
 from repro.workloads.specfp import BENCHMARK_ORDER
 
@@ -23,7 +19,7 @@ LIMIT = 4
 @pytest.fixture(scope="module")
 def series():
     clear_cache()
-    machine = machine_for("4c1b2l64r")
+    machine = resolve_machine("4c1b2l64r")
     base = ipc_by_benchmark(machine, Scheme.BASELINE, limit=LIMIT)
     repl = ipc_by_benchmark(machine, Scheme.REPLICATION, limit=LIMIT)
     yield machine, base, repl

@@ -8,6 +8,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    current_registry,
+    use_registry,
 )
 
 
@@ -127,3 +129,22 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.scoped("a").scoped("b").counter("n").inc()
         assert "a.b.n" in reg.snapshot()
+
+
+class TestCurrentRegistry:
+    def test_use_registry_scopes_the_current_registry(self):
+        outside = current_registry()
+        inner = MetricsRegistry()
+        with use_registry(inner):
+            assert current_registry() is inner
+            current_registry().counter("n").inc()
+        assert current_registry() is outside
+        assert inner.snapshot() == {"n": 1.0}
+
+    def test_previous_registry_returns_after_an_exception(self):
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        with use_registry(outer):
+            with pytest.raises(RuntimeError):
+                with use_registry(inner):
+                    raise RuntimeError("boom")
+            assert current_registry() is outer

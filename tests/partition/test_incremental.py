@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.cli import _with_rates
 from repro.ddg.builder import DdgBuilder
 from repro.ddg.graph import EdgeKind
 from repro.machine.config import parse_config
-from repro.partition.incremental import EvaluatorStats, MoveEvaluator
+from repro.partition.incremental import MoveEvaluator
 from repro.partition.partition import Partition
 from repro.partition.pseudo import pseudo_schedule
 
@@ -104,31 +105,33 @@ class TestMoveEvaluator:
         # Interior node of the other chain: no foreign neighbours.
         assert evaluator.move_targets(two_chains.node_by_name("c1_1").uid) == []
 
-    def test_prefix_skips_the_relaxation(self, two_chains, m2):
+    def test_prefix_skips_the_relaxation(self, two_chains, m2, current_metrics):
         clean = split(
             two_chains,
             {"c0_0": 0, "c0_1": 0, "c0_2": 0, "c1_0": 1, "c1_1": 1, "c1_2": 1},
         )
-        stats = EvaluatorStats()
-        evaluator = MoveEvaluator(clean, m2, 2, stats)
+        computed = current_metrics.counter("partition.lengths_computed")
+        evaluator = MoveEvaluator(clean, m2, 2)
         evaluator.prefix()
-        assert stats.lengths_computed == 0
+        assert computed.value == 0
         evaluator.length()
-        assert stats.lengths_computed == 1
+        assert computed.value == 1
 
-    def test_stats_count_moves(self, two_chains, m2):
+    def test_stats_count_moves(self, two_chains, m2, current_metrics):
         cut = split(
             two_chains,
             {"c0_0": 0, "c0_1": 1, "c0_2": 0, "c1_0": 1, "c1_1": 0, "c1_2": 1},
         )
-        stats = EvaluatorStats()
-        evaluator = MoveEvaluator(cut, m2, 2, stats)
+        evaluator = MoveEvaluator(cut, m2, 2)
         move = evaluator.apply(two_chains.node_by_name("c0_0").uid, 1)
         evaluator.undo(move)
-        assert stats.moves_applied == 1
-        assert stats.moves_reverted == 1
+        counters = current_metrics.snapshot()
+        assert counters["partition.moves_applied"] == 1
+        assert counters["partition.moves_reverted"] == 1
 
     def test_skip_rate_counts_both_outcomes(self):
-        stats = EvaluatorStats(lengths_computed=1, lengths_skipped=3)
-        assert stats.lazy_skip_rate == 0.75
-        assert EvaluatorStats().lazy_skip_rate == 0.0
+        rates = _with_rates(
+            {"partition.lengths_computed": 1, "partition.lengths_skipped": 3}
+        )
+        assert rates["partition.lazy_skip_rate"] == 0.75
+        assert "partition.lazy_skip_rate" not in _with_rates({})

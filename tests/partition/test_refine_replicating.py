@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from repro.machine.config import parse_config, unified_machine
-from repro.partition.incremental import EvaluatorStats
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.partition import Partition
 from repro.partition.pseudo import pseudo_schedule
@@ -38,14 +38,15 @@ class TestRefineReplicating:
     def test_budget_bounds_surviving_replicas(self):
         for budget in (0, 1, 3):
             _, machine, partition = _case(1)
-            stats = EvaluatorStats()
-            _, grants = refine_replicating(
-                partition, machine, 2, replication_budget=budget, stats=stats
-            )
+            with use_registry(MetricsRegistry()) as metrics:
+                _, grants = refine_replicating(
+                    partition, machine, 2, replication_budget=budget
+                )
+            counters = metrics.snapshot()
             surviving = sum(len(clusters) for clusters in grants.values())
             assert surviving <= budget
-            assert stats.replicas_surviving == surviving
-            assert stats.replicate_accepted <= budget
+            assert counters["partition.moves.replicas_surviving"] == surviving
+            assert counters["partition.moves.replicate_accepted"] <= budget
 
     def test_zero_budget_matches_plain_refine(self):
         """With no replication budget the move stream is exactly
@@ -66,16 +67,23 @@ class TestRefineReplicating:
             assert isinstance(clusters, frozenset)
             assert partition.cluster_of(uid) not in clusters
 
-    def test_counters_split_by_kind(self):
+    def test_counters_split_by_kind(self, current_metrics):
         _, machine, partition = _case(3)
-        stats = EvaluatorStats()
-        refine_replicating(partition, machine, 2, stats=stats)
+        refine_replicating(partition, machine, 2)
+        counters = current_metrics.snapshot()
         assert (
-            stats.plain_accepted + stats.replicate_accepted
-            == stats.moves_accepted
+            counters["partition.moves.plain_accepted"]
+            + counters["partition.moves.replicate_accepted"]
+            == counters["partition.moves_accepted"]
         )
-        assert stats.plain_moves >= stats.plain_accepted
-        assert stats.replicate_moves >= stats.replicate_accepted
+        assert (
+            counters["partition.moves.plain"]
+            >= counters["partition.moves.plain_accepted"]
+        )
+        assert (
+            counters["partition.moves.replicate"]
+            >= counters["partition.moves.replicate_accepted"]
+        )
 
 
 class TestPartitionReplicating:

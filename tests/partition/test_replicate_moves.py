@@ -8,7 +8,6 @@ import pytest
 
 from repro.machine.config import parse_config
 from repro.partition.incremental import (
-    EvaluatorStats,
     MoveEvaluator,
     ReassignMove,
     ReplicateMove,
@@ -25,8 +24,7 @@ def _evaluator(seed: int = 3, machine_name: str = "4c1b2l64r", ii: int = 2):
         uid: rng.randrange(machine.n_clusters) for uid in ddg.node_ids()
     }
     partition = Partition(ddg, assignment, machine.n_clusters)
-    stats = EvaluatorStats()
-    return MoveEvaluator(partition, machine, ii, stats), partition, stats
+    return MoveEvaluator(partition, machine, ii), partition
 
 
 def _first_candidate(evaluator):
@@ -39,7 +37,7 @@ def _first_candidate(evaluator):
 
 class TestReplicateMechanics:
     def test_replicate_covers_one_communication(self):
-        evaluator, _, _ = _evaluator()
+        evaluator, _ = _evaluator()
         before = evaluator.nof_coms()
         uid, target = _first_candidate(evaluator)
         move = evaluator.apply_replicate(uid, target)
@@ -49,7 +47,7 @@ class TestReplicateMechanics:
         assert evaluator.has_replicas
 
     def test_undo_redo_round_trip(self):
-        evaluator, _, _ = _evaluator()
+        evaluator, _ = _evaluator()
         reference = evaluator.pseudo()
         uid, target = _first_candidate(evaluator)
         move = evaluator.apply_replicate(uid, target)
@@ -63,13 +61,13 @@ class TestReplicateMechanics:
         assert evaluator.replicas() == {}
 
     def test_replicate_onto_home_rejected(self):
-        evaluator, partition, _ = _evaluator()
+        evaluator, partition = _evaluator()
         uid, _ = _first_candidate(evaluator)
         with pytest.raises(ValueError):
             evaluator.apply_replicate(uid, partition.cluster_of(uid))
 
     def test_replicate_twice_same_cluster_rejected(self):
-        evaluator, _, _ = _evaluator()
+        evaluator, _ = _evaluator()
         uid, target = _first_candidate(evaluator)
         evaluator.apply_replicate(uid, target)
         with pytest.raises(ValueError):
@@ -79,7 +77,7 @@ class TestReplicateMechanics:
         """Moving a node's home onto its replica cluster would collapse
         two instances into one; both the direct apply and the target
         enumeration must refuse it."""
-        evaluator, _, _ = _evaluator()
+        evaluator, _ = _evaluator()
         uid, target = _first_candidate(evaluator)
         evaluator.apply_replicate(uid, target)
         assert target not in evaluator.move_targets(uid)
@@ -87,7 +85,7 @@ class TestReplicateMechanics:
             evaluator.apply(uid, target)
 
     def test_replicate_targets_exclude_home_and_existing(self):
-        evaluator, partition, _ = _evaluator()
+        evaluator, partition = _evaluator()
         uid, target = _first_candidate(evaluator)
         evaluator.apply_replicate(uid, target)
         remaining = evaluator.replicate_targets(uid)
@@ -95,7 +93,7 @@ class TestReplicateMechanics:
         assert partition.cluster_of(uid) not in remaining
 
     def test_replica_counts_toward_load_and_imbalance(self):
-        evaluator, _, _ = _evaluator()
+        evaluator, _ = _evaluator()
         uid, target = _first_candidate(evaluator)
         prefix_before = evaluator.prefix()
         evaluator.apply_replicate(uid, target)
@@ -106,7 +104,7 @@ class TestReplicateMechanics:
         )
 
     def test_activation_is_observably_free(self):
-        evaluator, partition, _ = _evaluator()
+        evaluator, partition = _evaluator()
         machine = parse_config("4c1b2l64r")
         from repro.partition.pseudo import pseudo_schedule
 
@@ -115,23 +113,22 @@ class TestReplicateMechanics:
         evaluator.replicate_candidates()  # activates the replica tables
         assert evaluator.pseudo() == reference
 
-    def test_move_kind_counters(self):
-        evaluator, _, stats = _evaluator()
+    def test_move_kind_counters(self, current_metrics):
+        evaluator, _ = _evaluator()
         uid, target = _first_candidate(evaluator)
         evaluator.apply_replicate(uid, target)
         plain_uid = next(
             u for u in evaluator.boundary() if evaluator.move_targets(u)
         )
         evaluator.apply(plain_uid, evaluator.move_targets(plain_uid)[0])
-        assert stats.replicate_moves == 1
-        assert stats.plain_moves == 1
-        counters = stats.as_counters()
-        assert counters["moves.plain"] == 1
-        assert counters["moves.replicate"] == 1
+        counters = current_metrics.snapshot()
+        assert counters["partition.moves.plain"] == 1
+        assert counters["partition.moves.replicate"] == 1
+        assert counters["partition.moves_applied"] == 2
 
     def test_reassign_move_alias(self):
         """The plain move type is re-exported under the protocol name."""
-        evaluator, _, _ = _evaluator()
+        evaluator, _ = _evaluator()
         uid = next(
             u for u in evaluator.boundary() if evaluator.move_targets(u)
         )

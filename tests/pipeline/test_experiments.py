@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.jobs import ErrorKind
+from repro.engine.jobs import ErrorKind, resolve_machine
 from repro.pipeline.driver import Scheme
 from repro.pipeline import experiments
 from repro.schedule.scheduler import FailureCause
@@ -48,15 +48,15 @@ class TestConfiguredLimit:
 
 class TestMachineFor:
     def test_unified(self):
-        assert not experiments.machine_for("unified").is_clustered
+        assert not resolve_machine("unified").is_clustered
 
     def test_config_name(self):
-        assert experiments.machine_for("4c2b4l64r").n_clusters == 4
+        assert resolve_machine("4c2b4l64r").n_clusters == 4
 
 
 class TestCompileSuite:
     def test_results_are_memoized(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         first = experiments.compile_suite(
             "mgrid", machine, Scheme.BASELINE, limit=2
         )
@@ -66,7 +66,7 @@ class TestCompileSuite:
         assert first is second
 
     def test_cache_distinguishes_schemes(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         base = experiments.compile_suite(
             "mgrid", machine, Scheme.BASELINE, limit=2
         )
@@ -76,7 +76,7 @@ class TestCompileSuite:
         assert base is not repl
 
     def test_metrics_carry_profiles(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         for metric in experiments.compile_suite(
             "swim", machine, Scheme.BASELINE, limit=2
         ):
@@ -86,7 +86,7 @@ class TestCompileSuite:
 
 class TestSuiteOutcomes:
     def test_outcomes_align_with_metrics(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         outcomes = experiments.suite_outcomes(
             "mgrid", machine, Scheme.BASELINE, limit=3
         )
@@ -101,7 +101,7 @@ class TestSuiteOutcomes:
         ]
 
     def test_failed_outcomes_empty_on_healthy_suite(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         assert (
             experiments.failed_outcomes(
                 "mgrid", machine, Scheme.BASELINE, limit=2
@@ -110,7 +110,7 @@ class TestSuiteOutcomes:
         )
 
     def test_outcomes_are_memoized_with_metrics(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         first = experiments.suite_outcomes(
             "mgrid", machine, Scheme.BASELINE, limit=2
         )
@@ -132,7 +132,7 @@ class TestErrorKinds:
             from repro.pipeline.driver import compile_loop
 
             result = compile_loop(
-                daxpy(), experiments.machine_for("2c1b2l64r")
+                daxpy(), resolve_machine("2c1b2l64r")
             )
         else:
             result = None
@@ -154,7 +154,7 @@ class TestErrorKinds:
         assert not outcome.ok
 
     def test_failed_outcomes_filters_by_kind(self, monkeypatch):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         synthetic = [
             self._outcome(ErrorKind.NONE),
             self._outcome(ErrorKind.UNSCHEDULABLE),
@@ -183,7 +183,7 @@ class TestErrorKinds:
 
 class TestAggregates:
     def test_ipc_table_has_hmean(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         table = experiments.ipc_by_benchmark(
             machine, Scheme.BASELINE, limit=1
         )
@@ -192,12 +192,12 @@ class TestAggregates:
         assert all(v > 0 for v in table.values())
 
     def test_cause_histogram_covers_all_causes(self):
-        machine = experiments.machine_for("4c1b2l64r")
+        machine = resolve_machine("4c1b2l64r")
         histogram = experiments.cause_histogram(machine, limit=1)
         assert set(histogram) == set(FailureCause)
         assert all(count >= 0 for count in histogram.values())
 
     def test_mean_ii_reduction_bounds(self):
-        machine = experiments.machine_for("4c1b2l64r")
+        machine = resolve_machine("4c1b2l64r")
         reduction = experiments.mean_ii_reduction("applu", machine, limit=3)
         assert 0.0 <= reduction < 1.0

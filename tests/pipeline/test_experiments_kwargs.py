@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.jobs import resolve_machine
 from repro.pipeline import experiments
 from repro.pipeline.driver import Scheme
 
@@ -15,7 +16,7 @@ def fresh_cache():
 
 class TestCacheKeys:
     def test_copy_latency_override_is_keyed(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         normal = experiments.compile_suite(
             "swim", machine, Scheme.REPLICATION, limit=2
         )
@@ -29,7 +30,7 @@ class TestCacheKeys:
             assert b.result.kernel.length <= n.result.kernel.length
 
     def test_length_replication_is_keyed(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         plain = experiments.compile_suite(
             "applu", machine, Scheme.REPLICATION, limit=2
         )
@@ -40,7 +41,7 @@ class TestCacheKeys:
         assert plain is not extended
 
     def test_limits_are_keyed(self):
-        machine = experiments.machine_for("2c1b2l64r")
+        machine = resolve_machine("2c1b2l64r")
         two = experiments.compile_suite("mgrid", machine, Scheme.BASELINE, limit=2)
         three = experiments.compile_suite("mgrid", machine, Scheme.BASELINE, limit=3)
         assert len(two) == 2
@@ -48,9 +49,9 @@ class TestCacheKeys:
 
     def test_machines_keyed_by_name(self):
         a = experiments.compile_suite(
-            "mgrid", experiments.machine_for("2c1b2l64r"), Scheme.BASELINE, limit=1
+            "mgrid", resolve_machine("2c1b2l64r"), Scheme.BASELINE, limit=1
         )
         b = experiments.compile_suite(
-            "mgrid", experiments.machine_for("2c1b2l32r"), Scheme.BASELINE, limit=1
+            "mgrid", resolve_machine("2c1b2l32r"), Scheme.BASELINE, limit=1
         )
         assert a is not b

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _counter_totals, main
 from repro.ddg import io as ddg_io
+from repro.engine.jobs import JobResult, Outcome
+from repro.pipeline.driver import CompileDiagnostics, CompileResult, Scheme
 from repro.workloads.patterns import daxpy
 
 
@@ -84,6 +86,68 @@ class TestDot:
         main(["dot", "--loop", "daxpy", "--machine", "2c1b2l64r", "--partition"])
         out = capsys.readouterr().out
         assert "subgraph cluster_0" in out
+
+
+def _counted(counters: dict[str, float]) -> JobResult:
+    """A hand-built OK result carrying only diagnostics counters."""
+    result = CompileResult(
+        kernel=None,
+        partition=None,
+        plan=None,
+        mii=1,
+        ii=1,
+        causes=[],
+        scheme=Scheme.REPLICATION,
+        diagnostics=CompileDiagnostics(counters=counters),
+    )
+    return JobResult(key="k", tag="t", outcome=Outcome.OK, result=result)
+
+
+class TestCounterTotals:
+    def test_rates_derive_from_summed_counts(self):
+        first = {
+            "partition.lengths_computed": 2,
+            "partition.lengths_memoized": 1,
+            "partition.lengths_skipped": 3,
+            "partition.analysis_memo_hits": 1,
+            "partition.analysis_memo_misses": 2,
+            "replicate.subgraph_walks": 2,
+            "replicate.subgraph_reused": 1,
+            "replicate.removable_walks": 1,
+            "replicate.removable_reused": 0,
+        }
+        second = {
+            "partition.lengths_computed": 2,
+            "partition.lengths_memoized": 3,
+            "partition.lengths_skipped": 1,
+            "partition.analysis_memo_hits": 3,
+            "partition.analysis_memo_misses": 0,
+            "replicate.subgraph_walks": 0,
+            "replicate.subgraph_reused": 3,
+            "replicate.removable_walks": 1,
+            "replicate.removable_reused": 2,
+        }
+        results = [
+            _counted(first),
+            _counted(second),
+            JobResult(key="e", tag="t", outcome=Outcome.ERROR, error="x"),
+        ]
+        totals = _counter_totals(results)
+        assert totals["partition.lengths_skipped"] == 4
+        assert totals["replicate.subgraph_reused"] == 4
+        # skipped / (skipped + computed + memoized)
+        assert totals["partition.lazy_skip_rate"] == pytest.approx(4 / 12)
+        # memoized / (computed + memoized)
+        assert totals["partition.length_memo_hit_rate"] == pytest.approx(4 / 8)
+        # hits / (hits + misses)
+        assert totals["partition.analysis_memo_hit_rate"] == pytest.approx(4 / 6)
+        # reused walks of both kinds / every walk asked for
+        assert totals["replicate.rescore_skip_rate"] == pytest.approx(6 / 10)
+
+    def test_rates_with_nothing_counted_are_left_out(self):
+        assert _counter_totals([_counted({"schedule.attempts": 1})]) == {
+            "schedule.attempts": 1
+        }
 
 
 class TestBench:

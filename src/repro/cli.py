@@ -9,9 +9,9 @@ Commands:
   profile-weighted IPC under baseline and replication.
 * ``bench`` — run a benchmark x machine x scheme matrix through the
   parallel engine (persistent cache, ``--jobs N`` fan-out) and print a
-  summary table plus the cache hit-rate; ``--check BASELINE.json``
-  diffs the run against a committed baseline and exits nonzero on
-  regression.
+  summary table plus the cache hit-rate.
+* ``golden`` — record or check every matrix cell's decisions against a
+  golden file (``GOLDEN.jsonl``); see :mod:`repro.pipeline.golden`.
 * ``dot`` — emit Graphviz DOT for a loop (optionally partitioned).
 * ``trace`` — record a traced run of any other command, or analyse
   existing trace files: flame summaries, per-stage histograms, trace
@@ -37,6 +37,7 @@ Examples::
     python -m repro serve --port 8774 --data-dir /var/lib/repro
     python -m repro serve --smoke
     python -m repro cache stats
+    python -m repro golden check GOLDEN.jsonl
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return _bench_check(args, payload)
+        return 0
 
     print(
         format_table(
@@ -466,8 +467,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 title="evaluator counters",
             )
         )
-    if cache.enabled:
-        stats = cache.stats()
+    if stats is not None:
         cache_line = (
             f"{hits}/{len(results)} hits ({100.0 * hit_rate:.1f}%), "
             f"{stats.entries} entries on disk ({stats.total_bytes / 1024:.0f} KiB)"
@@ -482,35 +482,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"  {res.tag}: [{res.outcome.value}{kind}] {res.error}")
         if len(failures) > 10:
             print(f"  ... and {len(failures) - 10} more")
-    return _bench_check(args, payload)
+    return 0
 
 
-def _bench_check(args: argparse.Namespace, payload: dict) -> int:
-    """Gate the bench payload against ``--check BASELINE`` (if given).
+def cmd_golden(args: argparse.Namespace) -> int:
+    """Record or check the golden decisions file."""
+    import pathlib
 
-    Prints the delta table and returns 1 on regression, 0 otherwise
-    (including when no baseline was requested).
-    """
-    if not getattr(args, "check", None):
-        return 0
-    import json
+    from repro.pipeline import golden
 
-    from repro.pipeline.regression import compare_bench
-
-    with open(args.check, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    report = compare_bench(payload, baseline, tolerance=args.tolerance / 100.0)
-    # Keep stdout pure JSON in --format json; the table goes to stderr.
-    out = sys.stderr if args.format == "json" else sys.stdout
-    print(report.table(), file=out)
-    if report.ok:
-        print(f"bench check vs {args.check}: OK", file=out)
-        return 0
-    print(
-        f"bench check vs {args.check}: {len(report.regressions)} regression(s)",
-        file=sys.stderr,
-    )
-    return 1
+    action = golden.record if args.action == "record" else golden.check
+    return action(pathlib.Path(args.file))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -818,22 +800,20 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format: human tables or one JSON document",
     )
-    p.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="diff this run against a bench JSON baseline "
-        "(e.g. BENCH_pr8.json); exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=20.0,
-        metavar="PCT",
-        help="allowed relative slowdown / IPC drop for --check "
-        "(percent, default: 20)",
-    )
     p.set_defaults(func=cmd_bench)
+
+    p = sub.add_parser(
+        "golden",
+        help="record or check every matrix cell's decisions in a golden file",
+    )
+    p.add_argument(
+        "action",
+        choices=("record", "check"),
+        help="record: compile the matrix and write FILE; check: compile "
+        "it and exit 1 when a cell differs from FILE or has no line",
+    )
+    p.add_argument("file", metavar="FILE", help="golden file (e.g. GOLDEN.jsonl)")
+    p.set_defaults(func=cmd_golden)
 
     p = sub.add_parser(
         "trace",

@@ -9,7 +9,8 @@ Entry format
 ------------
 An entry stores the compiler's decisions, not its objects: one pickled
 dict made only of built-in values (str, int, float, bool, None, and
-lists, tuples and dicts of them). :func:`encode_entry` writes it and
+lists, tuples and dicts of them), behind the 32-byte sha256 digest of
+the pickle (:func:`seal`). :func:`encode_entry` writes it and
 :func:`decode_entry` reads it; there is no other layout. Its keys:
 
 * ``schema``: :data:`~repro.engine.jobs.ENGINE_SCHEMA_VERSION`;
@@ -42,11 +43,13 @@ exactly the rebuilt instances, raise :class:`CacheEntryError`; so the
 :class:`~repro.pipeline.driver.CompileResult` a hit returns always has
 its kernel.
 
-Reading runs no code from the file: entries are read by an unpickler
-that refuses every global (:class:`_EntryUnpickler`), so a planted
-pickle that would construct an object or call a function is refused
-before it can. A refused entry, like any entry that fails to decode,
-is a miss.
+Reading runs no code from the file, and reads no damaged bytes: the
+digest is checked before anything is unpickled (:func:`unseal`), so a
+flipped bit or a torn write is refused before it can decode to other
+decisions. The pickle is then read by an unpickler that refuses every
+global (:class:`_EntryUnpickler`), so a planted pickle that would
+construct an object or call a function is refused before it can. A
+refused entry, like any entry that fails to decode, is a miss.
 
 Durability rules:
 
@@ -55,9 +58,9 @@ Durability rules:
   entry and concurrent writers of the same key are last-writer-wins
   with either writer's bytes intact;
 * **corruption-tolerant reads**: any failure to read or decode an
-  entry (truncation, garbage, wrong schema, a refused global, a
-  validation failure) is a cache *miss*, never a crash; the bad file
-  is best-effort deleted so it is rebuilt.
+  entry (truncation, garbage, a checksum mismatch, wrong schema, a
+  refused global, a validation failure) is a cache *miss*, never a
+  crash; the bad file is best-effort deleted so it is rebuilt.
 
 ``REPRO_CACHE_DIR`` overrides the default location (which is
 ``$XDG_CACHE_HOME/repro-engine`` when ``XDG_CACHE_HOME`` is set, else
@@ -68,6 +71,7 @@ store (every lookup misses, writes are dropped).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -95,6 +99,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_SWITCH_ENV = "REPRO_CACHE"
 
 _OFF_VALUES = frozenset({"off", "0", "false", "no", "disabled"})
+
+#: Length of the sha256 digest in front of every entry's pickle.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def cache_enabled() -> bool:
@@ -129,6 +136,23 @@ class _EntryUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(
             f"cache entries hold no globals; refused {module}.{name}"
         )
+
+
+def seal(body: bytes) -> bytes:
+    """``body`` behind its sha256 digest: the bytes a store file holds."""
+    return hashlib.sha256(body).digest() + body
+
+
+def unseal(raw: bytes) -> bytes:
+    """The body :func:`seal` wrapped in ``raw``.
+
+    Raises:
+        CacheEntryError: the digest does not match the body.
+    """
+    digest, body = raw[:_DIGEST_BYTES], raw[_DIGEST_BYTES:]
+    if hashlib.sha256(body).digest() != digest:
+        raise CacheEntryError("entry checksum mismatch")
+    return body
 
 
 def _canonical_ddg(ddg: Ddg) -> str:
@@ -167,7 +191,7 @@ def encode_entry(result: CompileResult) -> bytes:
             None if diagnostics is None else dataclasses.asdict(diagnostics)
         ),
     }
-    return pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    return seal(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _index(value, bound: int, what: str) -> int:
@@ -196,14 +220,16 @@ def decode_entry(raw: bytes, ddg: Ddg | None = None) -> CompileResult:
     """The result stored as ``raw``, bound to ``ddg`` (see module docstring).
 
     Raises:
-        CacheEntryError: a stale schema or an entry that fails validation,
-            including rows that do not cover the rebuilt placed graph.
-        pickle.UnpicklingError: bytes that are no pickle, or that name a
-            global.
-        Exception: anything else a damaged entry provokes while it is
-            read; :meth:`ResultCache.get` treats every failure as a miss.
+        CacheEntryError: a checksum mismatch, a stale schema or an entry
+            that fails validation, including rows that do not cover the
+            rebuilt placed graph.
+        pickle.UnpicklingError: a sealed body that is no pickle, or that
+            names a global.
+        Exception: anything else a sealed but malformed body provokes
+            while it is read; :meth:`ResultCache.get` treats every
+            failure as a miss.
     """
-    entry = _EntryUnpickler(io.BytesIO(raw)).load()
+    entry = _EntryUnpickler(io.BytesIO(unseal(raw))).load()
     if not isinstance(entry, dict) or entry.get("schema") != ENGINE_SCHEMA_VERSION:
         raise CacheEntryError("stale or malformed cache entry")
     if ddg is None:
@@ -344,8 +370,8 @@ class ResultCache:
             self._misses += 1
             return None
         except Exception:
-            # Torn write, garbage, schema drift, a refused global: treat
-            # as a miss and drop the entry so the next run rebuilds it.
+            # Torn write, flipped bits, schema drift, a refused global:
+            # treat as a miss and drop the entry so the next run rebuilds it.
             self._misses += 1
             self._evicted += 1
             try:

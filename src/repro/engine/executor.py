@@ -167,7 +167,7 @@ def _timed_run(job: CompileJob, key: str, timeout: float | None) -> JobResult:
     return result
 
 
-def _execute_wire(
+def execute_wire(
     wire: dict,
     key: str,
     timeout: float | None,
@@ -175,6 +175,8 @@ def _execute_wire(
 ) -> JobResult:
     """Worker-process entry point: rebuild the job and run it.
 
+    Batch workers (:func:`run_jobs`) and the serving layer's persistent
+    process pool (:mod:`repro.serve.manager`) both run jobs through it.
     When tracing is on (the worker inherits ``REPRO_TRACE``), the job
     runs under a worker-side ``engine.job`` span; every span the job
     produced is drained from the worker tracer and shipped back on the
@@ -193,21 +195,6 @@ def _execute_wire(
     if obs.enabled():
         result.spans = obs.tracer().drain_wire()
     return result
-
-
-def execute_wire(
-    wire: dict,
-    key: str,
-    timeout: float | None,
-    traceparent: str | None = None,
-) -> JobResult:
-    """Public worker entry point (see :func:`_execute_wire`).
-
-    Used by the serving layer (:mod:`repro.serve.manager`) to run one
-    submitted job on its persistent process pool with exactly the same
-    span/timeout behaviour as a batch worker.
-    """
-    return _execute_wire(wire, key, timeout, traceparent)
 
 
 def execute_wire_inline(
@@ -236,7 +223,7 @@ def execute_wire_inline(
     return result
 
 
-def _event_for(result: JobResult) -> Event:
+def event_for_result(result: JobResult) -> Event:
     """Terminal event matching a job result."""
     kind = {
         Outcome.OK: EventKind.CACHE_HIT if result.cached else EventKind.FINISHED,
@@ -253,11 +240,6 @@ def _event_for(result: JobResult) -> Event:
         error=result.error,
         error_kind=result.error_kind.value,
     )
-
-
-def event_for_result(result: JobResult) -> Event:
-    """Public form of :func:`_event_for` (terminal event for a result)."""
-    return _event_for(result)
 
 
 def run_jobs(
@@ -287,7 +269,7 @@ def run_jobs(
                     result=cached,
                     cached=True,
                 )
-                bus.emit(_event_for(results[index]))
+                bus.emit(event_for_result(results[index]))
             else:
                 pending.append(index)
         batch.set(cache_hits=len(jobs) - len(pending))
@@ -331,7 +313,7 @@ def run_jobs(
                 result.spans = []
             if result.ok and not result.cached:
                 cache.put(result.key, result.result)
-            bus.emit(_event_for(result))
+            bus.emit(event_for_result(result))
     return results  # type: ignore[return-value] — every slot is filled
 
 
@@ -366,7 +348,7 @@ def _run_pool(
                     Event(kind=EventKind.STARTED, key=keys[index], tag=jobs[index].tag)
                 )
                 futures[index] = pool.submit(
-                    _execute_wire,
+                    execute_wire,
                     jobs[index].to_wire(),
                     keys[index],
                     timeout,

@@ -68,7 +68,9 @@ from repro.sim.verifier import VerificationError, verify_kernel
 #: ``partition.length_memo_hit_rate``,
 #: ``partition.analysis_memo_hit_rate``,
 #: ``replicate.rescore_skip_rate``) are gone.
-ENGINE_SCHEMA_VERSION = 10
+#: v11: an entry's pickle sits behind its sha256 digest, checked before
+#: anything is unpickled, so a damaged entry is a miss.
+ENGINE_SCHEMA_VERSION = 11
 
 
 def resolve_machine(name: str) -> MachineConfig:

@@ -46,7 +46,7 @@ import os
 import threading
 import time
 
-from repro.obs.export import Exporter, ExportPipeline, InMemoryExporter
+from repro.obs.export import ExportPipeline, InMemoryExporter
 
 #: Environment variable enabling tracing. ``off``/``0``/``false``/empty
 #: disable (the default); ``on``/``1`` enable; any other value enables
@@ -388,11 +388,6 @@ class Tracer:
     def drain_wire(self) -> list[dict]:
         """Drain, as wire dicts (for shipping through ``JobResult``)."""
         return [span.to_wire() for span in self.drain()]
-
-    def add_exporter(self, exporter: Exporter) -> None:
-        """Plug an additional exporter into the live span stream."""
-        with self._lock:
-            self.pipeline.exporters.append(exporter)
 
 
 # ----------------------------------------------------------------------

@@ -64,11 +64,24 @@ class TestCorruptionTolerance:
         store.path_for(key).write_bytes(blob[: len(blob) // 2])
         assert store.get(key) is None
 
+    def test_flipped_bit_is_refused_before_unpickling(self, store, compiled):
+        key, result = compiled
+        store.put(key, result)
+        raw = bytearray(store.path_for(key).read_bytes())
+        raw[-2] ^= 1
+        with pytest.raises(cache_mod.CacheEntryError, match="checksum"):
+            cache_mod.decode_entry(bytes(raw))
+        store.path_for(key).write_bytes(bytes(raw))
+        assert store.get(key) is None
+        assert not store.path_for(key).exists()
+
     def test_wrong_schema_is_a_miss(self, store, compiled):
         key, result = compiled
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"schema": -1, "result": result}))
+        path.write_bytes(cache_mod.seal(pickle.dumps({"schema": -1, "result": 0})))
+        with pytest.raises(cache_mod.CacheEntryError, match="stale"):
+            cache_mod.decode_entry(path.read_bytes())
         assert store.get(key) is None
 
     @pytest.mark.parametrize(
@@ -78,8 +91,8 @@ class TestCorruptionTolerance:
         self, store, compiled, stale_schema
     ):
         """Entries written under ANY earlier schema — v1 (pre-
-        diagnostics) through v9, each written here as a pickled
-        ``CompileResult`` that is refused at its first global — must
+        diagnostics) through v10, each written here as a pickled
+        ``CompileResult`` without the digest v11 put in front — must
         read as misses and be evicted, never deserialised as-if
         current."""
         key, result = compiled
@@ -99,11 +112,11 @@ class TestCorruptionTolerance:
         """A well-formed entry whose schema field is one behind is
         refused by the schema check itself, and evicted."""
         key, result = compiled
-        entry = pickle.loads(cache_mod.encode_entry(result))
+        entry = pickle.loads(cache_mod.unseal(cache_mod.encode_entry(result)))
         entry["schema"] = cache_mod.ENGINE_SCHEMA_VERSION - 1
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps(entry))
+        path.write_bytes(cache_mod.seal(pickle.dumps(entry)))
         with pytest.raises(cache_mod.CacheEntryError, match="stale"):
             cache_mod.decode_entry(path.read_bytes())
         assert store.get(key) is None
@@ -113,7 +126,8 @@ class TestCorruptionTolerance:
         key, _ = compiled
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"schema": 1, "result": "bogus"}))
+        bogus = pickle.dumps({"schema": 1, "result": "bogus"})
+        path.write_bytes(cache_mod.seal(bogus))
         assert store.get(key) is None
 
 

@@ -5,7 +5,9 @@ parses the stored one) and rebuilds the kernel from the stored rows.
 These tests hold loaded results to fresh compiles across schemes and
 machines, pin the one build per load, the recompile of an entry whose
 rows do not fit, and the position-based node mapping, plant an entry
-that would run code, and fuzz the entry bytes.
+that would run code, and fuzz the entry bytes. Tests that hand-damage
+a body seal it again with a correct digest, so the damage reaches the
+decoder's own validation instead of the checksum.
 """
 
 import pickle
@@ -21,6 +23,8 @@ from repro.engine.cache import (
     ResultCache,
     decode_entry,
     encode_entry,
+    seal,
+    unseal,
 )
 from repro.engine.executor import EngineConfig, run_jobs
 from repro.engine.fingerprint import result_fingerprint
@@ -129,12 +133,12 @@ class TestRoundTrip:
 
 
 def _damage(store, key, change):
-    """Rewrite ``key``'s entry with ``change(entry)`` applied; returns
-    the entry's path and its new bytes."""
+    """Rewrite ``key``'s entry with ``change(entry)`` applied and sealed
+    again; returns the entry's path and its new bytes."""
     path = store.path_for(key)
-    entry = pickle.loads(path.read_bytes())
+    entry = pickle.loads(unseal(path.read_bytes()))
     change(entry)
-    raw = pickle.dumps(entry)
+    raw = seal(pickle.dumps(entry))
     path.write_bytes(raw)
     return path, raw
 
@@ -239,7 +243,7 @@ class TestUntrustedBytes:
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(
-            pickle.dumps({"schema": ENGINE_SCHEMA_VERSION, "result": _Planted()})
+            seal(pickle.dumps({"schema": ENGINE_SCHEMA_VERSION, "result": _Planted()}))
         )
         assert store.get(key) is None
         assert PLANTED_CALLS == []
@@ -247,7 +251,7 @@ class TestUntrustedBytes:
 
     def test_decode_refuses_any_global(self):
         with pytest.raises(pickle.UnpicklingError, match="no globals"):
-            decode_entry(pickle.dumps(OpClass.LOAD))
+            decode_entry(seal(pickle.dumps(OpClass.LOAD)))
 
 
 @pytest.fixture(scope="module")
@@ -280,19 +284,19 @@ def damaged(draw, first: bytes, second: bytes) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), bind=st.booleans())
 def test_damaged_entry_misses_or_loads(entries, data, bind):
-    """Damaged bytes: a miss that removes the file, or a result whose
-    kernel was built from rows that cover its placed graph; never a
-    crash."""
+    """Damaged bytes never load: each is a miss that removes the file,
+    refused by the checksum before anything is unpickled. A splice can
+    rebuild either entry intact; those bytes are not damaged, so they
+    are not drawn."""
     key, ddg, first, second = entries
-    raw = data.draw(damaged(first, second))
+    intact = (first, second)
+    raw = data.draw(damaged(first, second).filter(lambda raw: raw not in intact))
+    with pytest.raises(CacheEntryError, match="checksum"):
+        decode_entry(raw)
     with tempfile.TemporaryDirectory() as root:
         store = ResultCache(root=root, enabled=True)
         path = store.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(raw)
-        loaded = store.get(key, ddg=ddg if bind else None)
-        if loaded is None:
-            assert not path.exists()
-        else:
-            kernel = loaded.kernel
-            assert set(kernel.ops) == {inst.iid for inst in kernel.graph.instances()}
+        assert store.get(key, ddg=ddg if bind else None) is None
+        assert not path.exists()

@@ -12,7 +12,8 @@ These tests exercise both with real processes hammering one store on
 real disk — no monkeypatching, no fault injection. Each writer puts a
 different compile result under the same key, so the entry on disk names
 its writer by fingerprint. Readers take the entry file's raw bytes, so
-a torn file shows up as bytes that do not unpickle. A barrier lines the
+a torn file shows up as bytes whose digest does not match or that do
+not unpickle. A barrier lines the
 processes up so writes and reads genuinely overlap.
 """
 
@@ -23,7 +24,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import ResultCache, decode_entry
+from repro.engine.cache import ResultCache, decode_entry, unseal
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import ENGINE_SCHEMA_VERSION
 from repro.machine.config import parse_config
@@ -78,7 +79,7 @@ def _reader(root, key, min_observed, deadline_s, queue, barrier):
             continue
         observed += 1
         try:
-            envelope = pickle.loads(raw)
+            envelope = pickle.loads(unseal(raw))
             if envelope.get("schema") != ENGINE_SCHEMA_VERSION:
                 torn += 1
         except Exception:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, seal, unseal
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob
 from repro.machine.config import parse_config
@@ -396,10 +396,10 @@ class TestCorruptEntry:
             client.submit(job)
             first = client.wait(key, timeout=120.0)
             entry = cluster.cache.path_for(key)
-            stored = pickle.loads(entry.read_bytes())
+            stored = pickle.loads(unseal(entry.read_bytes()))
             last = len(stored["rows"]) - 1
             stored["rows"] = tuple(row for row in stored["rows"] if row[0] != last)
-            entry.write_bytes(pickle.dumps(stored))
+            entry.write_bytes(seal(pickle.dumps(stored)))
             cluster.forget_records()
             with pytest.raises(ServeError) as missing:
                 client.status(key)

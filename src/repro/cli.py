@@ -562,13 +562,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import ServeConfig, ServeServer, build_service
 
     if args.smoke:
-        return run_smoke(executor=args.executor, quiet=args.quiet)
+        return run_smoke(quiet=args.quiet)
 
     config = ServeConfig(
         host=args.host,
         port=args.port,
         data_dir=args.data_dir,
-        executor=args.executor,
         workers=args.workers,
         timeout=args.timeout,
         queue_limit=args.queue_limit,
@@ -587,7 +586,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         log.info(
             "listening",
             url=server.url,
-            executor=config.executor,
             workers=config.workers,
             data=str(config.resolved_data_dir()),
         )
@@ -875,16 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache directory (default: the local cache root)",
     )
     p.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help="compile pool kind (default: process)",
-    )
-    p.add_argument(
         "--workers",
         type=int,
         default=max(1, (os.cpu_count() or 2) - 1),
-        help="compile pool size (default: CPUs - 1)",
+        help="compile worker processes (default: CPUs - 1)",
     )
     p.add_argument(
         "--timeout",

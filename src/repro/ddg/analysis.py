@@ -65,11 +65,6 @@ def res_mii(ddg: Ddg, machine: MachineConfig) -> int:
     return bound
 
 
-def _edge_weight(edge: Edge, src_latency: int, ii: int) -> int:
-    """Longest-path weight of a dependence at a candidate II."""
-    return src_latency - ii * edge.distance
-
-
 # ----------------------------------------------------------------------
 # The per-graph analysis memo
 # ----------------------------------------------------------------------

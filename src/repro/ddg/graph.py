@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from repro.machine.resources import FuKind, LATENCIES, OpClass, fu_kind_of
 
@@ -247,14 +247,6 @@ class Ddg:
             if kind is None or e.kind is kind
         ]
 
-    def register_consumers(self, node: Node | int) -> list[Node]:
-        """Nodes consuming the register value produced by ``node``."""
-        return self.children(node, EdgeKind.REGISTER)
-
-    def register_producers(self, node: Node | int) -> list[Node]:
-        """Nodes whose register values ``node`` consumes."""
-        return self.parents(node, EdgeKind.REGISTER)
-
     def n_edges(self) -> int:
         """Total number of edges."""
         return sum(len(adj) for adj in self._succ.values())
@@ -275,10 +267,6 @@ class Ddg:
         clone._next_uid = self._next_uid
         clone._version = self._version
         return clone
-
-    def subgraph_nodes(self, uids: Iterable[int]) -> list[Node]:
-        """Nodes for a collection of uids (validating membership)."""
-        return [self.node(uid) for uid in uids]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Ddg({self.name!r}, nodes={len(self)}, edges={self.n_edges()})"

@@ -14,6 +14,7 @@ the pickle (:func:`seal`). :func:`encode_entry` writes it and
 :func:`decode_entry` reads it; there is no other layout. Its keys:
 
 * ``schema``: :data:`~repro.engine.jobs.ENGINE_SCHEMA_VERSION`;
+* ``key``: the job key the entry was stored under;
 * ``ddg``: the loop, as one string in the canonical JSON form of
   :func:`repro.ddg.io.to_dict` that the job key hashes;
 * ``machine`` (the name :func:`~repro.engine.jobs.resolve_machine`
@@ -30,12 +31,14 @@ the pickle (:func:`seal`). :func:`encode_entry` writes it and
 
 DDG binding and the rebuilt kernel
 ----------------------------------
-``get(key, ddg)`` binds the DDG it is given, which the key guarantees
-is the stored one: node positions map back through its
-``node_ids()``. Without one (a key-only lookup), the stored JSON is
-parsed. Decoding checks what the entry says on its own (row shape,
-iids ``0..k-1``, starts and buses in range, the partition's cover and
-cluster range), then rebuilds the placed graph with
+A read names the key it expects, and an entry stored under any other
+key is refused: a file copied or written to another key's path is a
+miss, on a key-only lookup too. ``get(key, ddg)`` binds the DDG it is
+given, which the key guarantees is the stored one: node positions map
+back through its ``node_ids()``. Without one (a key-only lookup), the
+stored JSON is parsed. Decoding checks what the entry says on its own
+(row shape, iids ``0..k-1``, starts and buses in range, the
+partition's cover and cluster range), then rebuilds the placed graph with
 :func:`~repro.schedule.placed.build_placed_graph`, a pure function of
 DDG, partition, machine and plan, and binds the stored rows to its
 instances. A plan that does not place, or rows that do not cover
@@ -58,9 +61,10 @@ Durability rules:
   entry and concurrent writers of the same key are last-writer-wins
   with either writer's bytes intact;
 * **corruption-tolerant reads**: any failure to read or decode an
-  entry (truncation, garbage, a checksum mismatch, wrong schema, a
-  refused global, a validation failure) is a cache *miss*, never a
-  crash; the bad file is best-effort deleted so it is rebuilt.
+  entry (truncation, garbage, a checksum mismatch, wrong schema,
+  another key's entry, a refused global, a validation failure) is a
+  cache *miss*, never a crash; the bad file is best-effort deleted so
+  it is rebuilt.
 
 ``REPRO_CACHE_DIR`` overrides the default location (which is
 ``$XDG_CACHE_HOME/repro-engine`` when ``XDG_CACHE_HOME`` is set, else
@@ -160,8 +164,9 @@ def _canonical_ddg(ddg: Ddg) -> str:
     return json.dumps(ddg_io.to_dict(ddg), sort_keys=True, separators=(",", ":"))
 
 
-def encode_entry(result: CompileResult) -> bytes:
-    """The store's bytes for ``result`` (see the module docstring)."""
+def encode_entry(result: CompileResult, key: str) -> bytes:
+    """The store's bytes for ``result`` under job ``key`` (see the
+    module docstring)."""
     ddg = result.partition.ddg
     uids = list(ddg.node_ids())
     position = {uid: index for index, uid in enumerate(uids)}
@@ -170,6 +175,7 @@ def encode_entry(result: CompileResult) -> bytes:
     diagnostics = result.diagnostics
     entry = {
         "schema": ENGINE_SCHEMA_VERSION,
+        "key": key,
         "ddg": _canonical_ddg(ddg),
         "machine": kernel.machine.name,
         "scheme": result.scheme_name,
@@ -216,13 +222,15 @@ def _check_rows(rows, machine: MachineConfig) -> None:
             _index(bus, machine.bus.count, "bus")
 
 
-def decode_entry(raw: bytes, ddg: Ddg | None = None) -> CompileResult:
-    """The result stored as ``raw``, bound to ``ddg`` (see module docstring).
+def decode_entry(raw: bytes, key: str, ddg: Ddg | None = None) -> CompileResult:
+    """The result stored as ``raw`` for job ``key``, bound to ``ddg``
+    (see module docstring).
 
     Raises:
-        CacheEntryError: a checksum mismatch, a stale schema or an entry
-            that fails validation, including rows that do not cover the
-            rebuilt placed graph.
+        CacheEntryError: a checksum mismatch, a stale schema, an entry
+            stored under another key, or an entry that fails
+            validation, including rows that do not cover the rebuilt
+            placed graph.
         pickle.UnpicklingError: a sealed body that is no pickle, or that
             names a global.
         Exception: anything else a sealed but malformed body provokes
@@ -232,6 +240,8 @@ def decode_entry(raw: bytes, ddg: Ddg | None = None) -> CompileResult:
     entry = _EntryUnpickler(io.BytesIO(unseal(raw))).load()
     if not isinstance(entry, dict) or entry.get("schema") != ENGINE_SCHEMA_VERSION:
         raise CacheEntryError("stale or malformed cache entry")
+    if entry.get("key") != key:
+        raise CacheEntryError("entry belongs to another job key")
     if ddg is None:
         ddg = ddg_io.from_dict(json.loads(entry["ddg"]))
     machine = resolve_machine(entry["machine"])
@@ -365,13 +375,14 @@ class ResultCache:
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
-            result = decode_entry(raw, ddg)
+            result = decode_entry(raw, key, ddg)
         except FileNotFoundError:
             self._misses += 1
             return None
         except Exception:
-            # Torn write, flipped bits, schema drift, a refused global:
-            # treat as a miss and drop the entry so the next run rebuilds it.
+            # Torn write, flipped bits, schema drift, another key's entry,
+            # a refused global: treat as a miss and drop the entry so the
+            # next run rebuilds it.
             self._misses += 1
             self._evicted += 1
             try:
@@ -386,7 +397,7 @@ class ResultCache:
         """Persist a result atomically (tmp file + rename)."""
         if not self.enabled:
             return
-        raw = encode_entry(result)
+        raw = encode_entry(result, key)
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

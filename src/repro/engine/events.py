@@ -1,19 +1,17 @@
 """Structured progress events for engine runs.
 
-The executor emits one :class:`Event` per job transition (started,
-finished, cache hit, timeout, error) to an :class:`EventBus`, which
-fans out to pluggable sinks. Since the :mod:`repro.obs` layer landed,
-a :class:`Sink` is a thin adapter over the shared
-:class:`repro.obs.export.Exporter` interface — event sinks and span
-exporters share one fan-out (:class:`repro.obs.export.ExportPipeline`)
-and one failure policy — while ``Event``/``EventKind`` remain the
-stable public API. Two sinks ship with the engine:
+The executor and the serving layer emit one :class:`Event` per job
+transition (started, finished, cache hit, timeout, error) to an
+:class:`EventBus`, which fans out to pluggable sinks (:class:`Sink`).
+Three sinks ship with the engine:
 
 * :class:`StderrProgressSink` — a single self-overwriting progress
   line (``[ 42/678] 30 cached ... 12.3s 6.1 jobs/s su2cor/loop_17``)
   suitable for interactive runs;
 * :class:`JsonlSink` — one JSON object per event, append-only, for
-  machine consumption and post-mortems.
+  machine consumption and post-mortems;
+* :class:`CollectingSink` — every event in memory, for tests and
+  programmatic consumers.
 
 Sinks must never break a run: the bus swallows (and counts) sink
 exceptions.
@@ -27,10 +25,6 @@ import json
 import sys
 import time
 from collections.abc import Iterable
-
-# Submodule import (not the package facade): events is imported while
-# ``repro.obs``'s own __init__ may still be running.
-from repro.obs.export import Exporter, ExportPipeline
 
 
 class EventKind(enum.Enum):
@@ -104,20 +98,11 @@ class Event:
         return data
 
 
-class Sink(Exporter):
-    """Event consumer interface (subclass and override :meth:`emit`).
-
-    Adapter over the observability exporter: ``export_event`` delegates
-    to :meth:`emit`, so any ``Sink`` plugs into an
-    :class:`~repro.obs.export.ExportPipeline` unchanged, and any
-    :class:`~repro.obs.export.Exporter` can consume engine events.
-    """
+class Sink:
+    """Event consumer interface (subclass and override :meth:`emit`)."""
 
     def emit(self, event: Event) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def export_event(self, event: Event) -> None:
-        self.emit(event)
 
     def close(self) -> None:
         """Flush/teardown; called once at the end of a run."""
@@ -209,30 +194,29 @@ class CollectingSink(Sink):
 class EventBus:
     """Fan events out to sinks; a broken sink never breaks the run.
 
-    A thin facade over :class:`repro.obs.export.ExportPipeline` (the
-    shared span/event fan-out): ``emit`` stamps unset timestamps and
-    forwards, ``dropped`` counts exporter failures.
+    ``emit`` stamps unset timestamps and delivers to every sink in
+    attachment order; ``dropped`` counts the sink exceptions swallowed
+    so far (emit and close).
     """
 
-    def __init__(self, sinks: Iterable[Exporter] = ()) -> None:
-        self.pipeline = ExportPipeline(sinks)
-
-    @property
-    def sinks(self) -> list[Exporter]:
-        """The attached sinks (mutable, in attachment order)."""
-        return self.pipeline.exporters
-
-    @property
-    def dropped(self) -> int:
-        """Sink exceptions swallowed so far (emit and close)."""
-        return self.pipeline.dropped
+    def __init__(self, sinks: Iterable[Sink] = ()) -> None:
+        self.sinks = list(sinks)
+        self.dropped = 0
 
     def emit(self, event: Event) -> None:
         """Deliver to every sink, stamping the time if unset."""
         if event.timestamp == 0.0:
             event = dataclasses.replace(event, timestamp=time.time())
-        self.pipeline.export_event(event)
+        for sink in self.sinks:
+            try:
+                sink.emit(event)
+            except Exception:
+                self.dropped += 1
 
     def close(self) -> None:
         """Close every sink (errors counted, not raised)."""
-        self.pipeline.close()
+        for sink in self.sinks:
+            try:
+                sink.close()
+            except Exception:
+                self.dropped += 1

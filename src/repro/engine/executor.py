@@ -11,8 +11,9 @@
 3. enforces a per-job wall-clock timeout *inside* the worker (SIGALRM)
    so an exploding search records a ``TIMEOUT`` outcome instead of
    hanging the suite or poisoning the pool;
-4. retries a job exactly once when its worker process died for reasons
-   unrelated to the job's own code (``BrokenProcessPool``), then
+4. turns a pool call that raised into a result with
+   :func:`pool_failure`: a job whose worker process died
+   (``BrokenProcessPool``) is retried once on a fresh pool, then
    degrades to a structured ``ERROR``;
 5. writes fresh successes back to the cache and emits a structured
    event per transition.
@@ -20,6 +21,10 @@
 Results come back in submission order, one :class:`JobResult` per job,
 and never as an exception: unschedulable loops, timeouts and worker
 deaths are data, so one bad cell cannot abort a 678-loop sweep.
+
+The serving layer (:mod:`repro.serve.manager`) compiles on its own
+long-lived process pool, through the same worker entry point
+(:func:`execute_wire`) and the same failure rule (:func:`pool_failure`).
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ JOBS_ENV = "REPRO_ENGINE_JOBS"
 
 #: Environment variable with the default per-job timeout (seconds).
 TIMEOUT_ENV = "REPRO_ENGINE_TIMEOUT"
+
+#: Extra attempts a job gets after its worker process died. A compile
+#: error or a timeout is deterministic and is never retried.
+WORKER_RETRIES = 1
 
 
 def configured_jobs(default: int = 1) -> int:
@@ -89,14 +98,11 @@ class EngineConfig:
             ``REPRO_ENGINE_TIMEOUT`` (default: unlimited).
         cache: result store; None uses the process-wide default, which
             honours ``REPRO_CACHE``/``REPRO_CACHE_DIR``.
-        retries: extra attempts after a *worker death* (not after a
-            compile error or timeout, which are deterministic).
     """
 
     jobs: int | None = None
     timeout: float | None = None
     cache: ResultCache | None = None
-    retries: int = 1
 
     def resolved_jobs(self) -> int:
         """Effective worker count."""
@@ -129,7 +135,8 @@ def _deadline(seconds: float | None):
 
     A no-op when ``seconds`` is falsy, SIGALRM is unavailable, or we
     are not on the main thread (signal handlers require it); in those
-    cases the job simply runs without a timeout.
+    cases the job simply runs without a timeout. Pool workers, batch
+    and serve alike, run every job on their main thread.
     """
     usable = (
         seconds is not None
@@ -180,7 +187,7 @@ def execute_wire(
     When tracing is on (the worker inherits ``REPRO_TRACE``), the job
     runs under a worker-side ``engine.job`` span; every span the job
     produced is drained from the worker tracer and shipped back on the
-    result, where :func:`run_jobs` re-parents it under the batch span.
+    result, where the caller re-parents it under its own span.
     ``traceparent`` (the caller's serialized span context — see
     :mod:`repro.obs.propagate`) makes the worker's spans part of the
     caller's trace instead of rooting a fresh one.
@@ -197,30 +204,41 @@ def execute_wire(
     return result
 
 
-def execute_wire_inline(
-    wire: dict,
-    key: str,
-    timeout: float | None,
-    traceparent: str | None = None,
-) -> JobResult:
-    """Run one wire-format job in the calling process, without shipping
-    spans back (they are already in this process's tracer).
+def pool_failure(
+    exc: Exception, key: str, tag: str, attempt: int
+) -> JobResult | None:
+    """The result of a pool call that raised ``exc`` on try ``attempt``.
 
-    The thread-pool variant of :func:`execute_wire`: per-job SIGALRM
-    timeouts need the main thread, so ``timeout`` is best-effort here
-    (a no-op off the main thread — see :func:`_deadline`). The
-    ``traceparent`` still matters: thread-pool workers run outside the
-    submitting task's :mod:`contextvars` context, so without it the
-    job span would root its own trace.
+    A worker process dying (OOM kill, segfault in an extension, …)
+    breaks the whole pool: every outstanding call raises
+    ``BrokenProcessPool``. That says nothing about the job, so the
+    answer is None, "retry on a fresh pool", until the job has had
+    :data:`WORKER_RETRIES` retries; then it is ``WORKER_DIED``. Anything
+    else the worker raised is deterministic and ``INTERNAL`` at once.
     """
-    job = CompileJob.from_wire(wire)
-    remote = parse_traceparent(traceparent)
-    with obs.span(
-        "engine.job", remote=remote, tag=job.tag, key=key[:12]
-    ) as job_span:
-        result = _timed_run(job, key, timeout)
-        job_span.set(outcome=result.outcome.value)
-    return result
+    if not isinstance(exc, BrokenProcessPool):
+        return JobResult(
+            key=key,
+            tag=tag,
+            outcome=Outcome.ERROR,
+            error=f"{type(exc).__name__}: {exc}",
+            error_kind=ErrorKind.INTERNAL,
+        )
+    if attempt <= WORKER_RETRIES:
+        _log.warning(
+            "worker died, retrying job", tag=tag, key=key[:12], attempt=attempt
+        )
+        return None
+    _log.error(
+        "worker died, retries exhausted", tag=tag, key=key[:12], attempts=attempt
+    )
+    return JobResult(
+        key=key,
+        tag=tag,
+        outcome=Outcome.ERROR,
+        error="worker process died (retry exhausted)",
+        error_kind=ErrorKind.WORKER_DIED,
+    )
 
 
 def event_for_result(result: JobResult) -> Event:
@@ -295,7 +313,6 @@ def run_jobs(
                 results,
                 workers,
                 timeout,
-                config.retries,
                 bus,
                 traceparent,
             )
@@ -324,24 +341,19 @@ def _run_pool(
     results: list[JobResult | None],
     workers: int,
     timeout: float | None,
-    retries: int,
     bus: EventBus,
     traceparent: str | None = None,
 ) -> None:
-    """Fan pending jobs out over worker processes, retrying deaths.
+    """Fan pending jobs out over worker processes.
 
-    A worker process dying (OOM kill, segfault in an extension, …)
-    breaks the whole pool: every outstanding future raises
-    ``BrokenProcessPool``. Affected jobs are resubmitted to a fresh
-    pool at most ``retries`` times each, then recorded as ERROR —
-    the batch always completes.
+    Jobs whose worker died go round again on a fresh pool, as
+    :func:`pool_failure` rules, so the batch always completes.
     """
-    attempts = {index: 0 for index in pending}
+    attempts = dict.fromkeys(pending, 0)
     queue = list(pending)
     while queue:
-        workers_now = min(workers, len(queue))
         retry: list[int] = []
-        with ProcessPoolExecutor(max_workers=workers_now) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(queue))) as pool:
             futures = {}
             for index in queue:
                 bus.emit(
@@ -357,36 +369,13 @@ def _run_pool(
             for index in queue:
                 try:
                     results[index] = futures[index].result()
-                except BrokenProcessPool:
+                except Exception as exc:
                     attempts[index] += 1
-                    if attempts[index] <= retries:
-                        _log.warning(
-                            "worker died, retrying job",
-                            tag=jobs[index].tag,
-                            key=keys[index][:12],
-                            attempt=attempts[index],
-                        )
+                    failed = pool_failure(
+                        exc, keys[index], jobs[index].tag, attempts[index]
+                    )
+                    if failed is None:
                         retry.append(index)
                     else:
-                        _log.error(
-                            "worker died, retries exhausted",
-                            tag=jobs[index].tag,
-                            key=keys[index][:12],
-                            attempts=attempts[index],
-                        )
-                        results[index] = JobResult(
-                            key=keys[index],
-                            tag=jobs[index].tag,
-                            outcome=Outcome.ERROR,
-                            error="worker process died (retry exhausted)",
-                            error_kind=ErrorKind.WORKER_DIED,
-                        )
-                except Exception as exc:  # worker-raised, deterministic
-                    results[index] = JobResult(
-                        key=keys[index],
-                        tag=jobs[index].tag,
-                        outcome=Outcome.ERROR,
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_kind=ErrorKind.INTERNAL,
-                    )
+                        results[index] = failed
         queue = retry

@@ -70,7 +70,9 @@ from repro.sim.verifier import VerificationError, verify_kernel
 #: ``replicate.rescore_skip_rate``) are gone.
 #: v11: an entry's pickle sits behind its sha256 digest, checked before
 #: anything is unpickled, so a damaged entry is a miss.
-ENGINE_SCHEMA_VERSION = 11
+#: v12: an entry stores its job key, and a read under any other key
+#: refuses it, so an intact entry at another key's path is a miss.
+ENGINE_SCHEMA_VERSION = 12
 
 
 def resolve_machine(name: str) -> MachineConfig:

@@ -162,10 +162,6 @@ class MachineConfig:
         """Iterable of cluster indices."""
         return range(self.n_clusters)
 
-    def slots_per_ii(self, cluster: int, kind: FuKind, ii: int) -> int:
-        """Issue slots of ``kind`` available in one II window of a cluster."""
-        return self.fu_count(cluster, kind) * ii
-
 
 def parse_config(name: str, fus_per_kind_total: dict[FuKind, int] | None = None) -> MachineConfig:
     """Build a :class:`MachineConfig` from a ``wcxbylzr`` name.

@@ -15,11 +15,10 @@ A zero-dependency observability layer with three pieces:
   Each compile counts into its own registry, made current for the
   compile by :func:`use_registry`; its flattened snapshot is
   ``CompileDiagnostics.counters``.
-* **Exporters** (:mod:`repro.obs.export`): in-memory, JSONL, and Chrome
-  trace-event output (``chrome://tracing`` / Perfetto), shared with the
-  engine's event sinks. :mod:`repro.obs.summary` renders text flame
-  summaries, per-stage histograms and trace diffs for
-  ``python -m repro trace``.
+* **Trace files** (:mod:`repro.obs.export`): JSONL span files and
+  Chrome trace-event output (``chrome://tracing`` / Perfetto).
+  :mod:`repro.obs.summary` renders text flame summaries, per-stage
+  histograms and trace diffs for ``python -m repro trace``.
 
 Typical use::
 
@@ -33,10 +32,6 @@ Typical use::
 """
 
 from repro.obs.export import (
-    Exporter,
-    ExportPipeline,
-    InMemoryExporter,
-    JsonlExporter,
     chrome_trace,
     read_trace,
     write_chrome_trace,
@@ -88,10 +83,6 @@ from repro.obs.summary import (
 )
 
 __all__ = [
-    "Exporter",
-    "ExportPipeline",
-    "InMemoryExporter",
-    "JsonlExporter",
     "chrome_trace",
     "read_trace",
     "write_chrome_trace",

@@ -1,22 +1,12 @@
-"""Pluggable exporters for observability records.
+"""Trace files: JSONL span streams and Chrome trace-event documents.
 
-One :class:`Exporter` interface serves both halves of the telemetry
-the repository produces:
-
-* **spans** from :mod:`repro.obs.spans` (``export_span``), and
-* **engine events** from :mod:`repro.engine.events` (``export_event``)
-  — the engine's ``Sink`` is a thin adapter over this class, so event
-  sinks and span exporters share one fan-out and one failure policy.
-
-Three concrete exporters ship here: :class:`InMemoryExporter` (tests
-and programmatic consumers), :class:`JsonlExporter` (one JSON object
-per record, append-only), and the Chrome trace-event writer
-(:func:`chrome_trace` / :func:`write_chrome_trace`), whose output loads
-directly into ``chrome://tracing`` or https://ui.perfetto.dev.
-
-Exporters must never break the run they observe: the
-:class:`ExportPipeline` fan-out swallows (and counts) exporter
-exceptions, mirroring the engine's historical ``EventBus`` contract.
+Finished spans (:mod:`repro.obs.spans`) are written one
+``{"type": "span", ...}`` JSON object per line (their wire form, see
+:meth:`~repro.obs.spans.Span.to_wire`) by :func:`write_spans`, and read
+back by :func:`read_trace`, which keeps only the span lines. The Chrome
+trace-event writer (:func:`chrome_trace` / :func:`write_chrome_trace`)
+produces output that loads directly into ``chrome://tracing`` or
+https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
@@ -29,101 +19,14 @@ def _wire(span) -> dict:
     return span if isinstance(span, dict) else span.to_wire()
 
 
-class Exporter:
-    """Observability record consumer (subclass and override)."""
-
-    def export_span(self, span) -> None:
-        """Consume one finished :class:`~repro.obs.spans.Span`."""
-
-    def export_event(self, event) -> None:
-        """Consume one :class:`~repro.engine.events.Event`."""
-
-    def close(self) -> None:
-        """Flush/teardown; called once at the end of a run."""
-
-
-class ExportPipeline:
-    """Fan records out to exporters; a broken exporter never breaks a run."""
-
-    def __init__(self, exporters=()) -> None:
-        self.exporters = list(exporters)
-        self.dropped = 0
-
-    def export_span(self, span) -> None:
-        for exporter in self.exporters:
-            try:
-                exporter.export_span(span)
-            except Exception:
-                self.dropped += 1
-
-    def export_event(self, event) -> None:
-        for exporter in self.exporters:
-            try:
-                exporter.export_event(event)
-            except Exception:
-                self.dropped += 1
-
-    def close(self) -> None:
-        for exporter in self.exporters:
-            try:
-                exporter.close()
-            except Exception:
-                self.dropped += 1
-
-
-class InMemoryExporter(Exporter):
-    """Keep every record in memory."""
-
-    def __init__(self) -> None:
-        self.spans: list = []
-        self.events: list = []
-
-    def export_span(self, span) -> None:
-        self.spans.append(span)
-
-    def export_event(self, event) -> None:
-        self.events.append(event)
-
-    def drain_spans(self) -> list:
-        """Return and clear the collected spans."""
-        spans, self.spans = self.spans, []
-        return spans
-
-
-class JsonlExporter(Exporter):
-    """Append records as JSON lines to a file.
-
-    Spans are written as ``{"type": "span", ...}`` (wire form), events
-    as ``{"type": "event", ...}`` (their ``to_dict`` form), so one file
-    can interleave both and readers can filter on ``type``.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
-
-    def _write(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def export_span(self, span) -> None:
-        self._write({"type": "span", **_wire(span)})
-
-    def export_event(self, event) -> None:
-        self._write({"type": "event", **event.to_dict()})
-
-    def close(self) -> None:
-        self._handle.flush()
-        self._handle.close()
-
-
 def write_spans(spans, path: str) -> int:
-    """Write finished spans to a JSONL trace file; returns the count."""
-    exporter = JsonlExporter(path)
+    """Append finished spans to a JSONL trace file; returns the count."""
     count = 0
-    for span in spans:
-        exporter.export_span(span)
-        count += 1
-    exporter.close()
+    with open(path, "a", encoding="utf-8") as handle:
+        for span in spans:
+            record = {"type": "span", **_wire(span)}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            count += 1
     return count
 
 

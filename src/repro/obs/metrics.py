@@ -19,9 +19,9 @@ registry *current* in a context variable for the length of a ``with``
 block, and :func:`current_registry` returns it, so code that no compile
 argument reaches — the relaxation kernels and the analysis memo, which
 run under ``mii()``, coarsening and the pseudo-schedule — counts into
-the compile that runs it. Worker processes and thread-pool
-threads each run a compile in their own context, so concurrent
-compiles never see each other's counts. Outside every ``with`` block
+the compile that runs it. Each compile runs in its own context, in a
+pool worker process or in a caller's thread, so concurrent compiles
+never see each other's counts. Outside every ``with`` block
 the current registry is one that nothing reads, so counting code never
 checks for "no compile".
 """
@@ -287,8 +287,8 @@ def use_registry(registry: MetricsRegistry):
     """Make ``registry`` current for the ``with`` block.
 
     The previous registry comes back on exit, also on an exception: a
-    thread-pool thread runs job after job in one context, and a later
-    job must not count into an earlier job's registry.
+    pool worker runs job after job in one context, and a later job must
+    not count into an earlier job's registry.
     """
     token = _CURRENT.set(registry)
     try:

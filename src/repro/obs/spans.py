@@ -12,9 +12,9 @@ started. Spans are created with the :func:`span` context manager::
 Tracing is **off by default**: unless ``REPRO_TRACE`` is set (or
 :func:`enable` is called), :func:`span` returns a shared no-op handle
 and the instrumented code pays one flag check per call site. When
-enabled, finished spans flow to the :class:`~repro.obs.export.Exporter`
-pipeline of the process-wide :class:`Tracer` (an in-memory exporter is
-always installed, so :meth:`Tracer.drain` works without setup).
+enabled, finished spans collect in the process-wide :class:`Tracer`
+until :meth:`Tracer.drain` takes them (the CLI writes them to a trace
+file with :func:`repro.obs.export.write_spans`).
 
 The tracer is thread- and task-safe (the open-span stack lives in a
 :mod:`contextvars` context variable, so two asyncio tasks interleaving
@@ -45,8 +45,6 @@ import itertools
 import os
 import threading
 import time
-
-from repro.obs.export import ExportPipeline, InMemoryExporter
 
 #: Environment variable enabling tracing. ``off``/``0``/``false``/empty
 #: disable (the default); ``on``/``1`` enable; any other value enables
@@ -260,12 +258,11 @@ _STACK: contextvars.ContextVar[tuple] = contextvars.ContextVar(
 
 
 class Tracer:
-    """Process-wide span collector with pluggable exporters."""
+    """Process-wide collector of finished spans."""
 
     def __init__(self) -> None:
         self.pid = os.getpid()
-        self.memory = InMemoryExporter()
-        self.pipeline = ExportPipeline([self.memory])
+        self._finished: list[Span] = []
         # Random high bits + a small counter space keeps ids unique
         # across processes (so merged multi-process traces stitch
         # without remapping) while staying below 2**53 — exact in every
@@ -316,7 +313,7 @@ class Tracer:
             index = len(stack) - 1 - stack[::-1].index(span)
             _STACK.set(stack[:index] + stack[index + 1 :])
         with self._lock:
-            self.pipeline.export_span(span)
+            self._finished.append(span)
 
     # -- manual + cross-process records ---------------------------------
 
@@ -336,7 +333,7 @@ class Tracer:
         span.start = start
         span.duration = duration
         with self._lock:
-            self.pipeline.export_span(span)
+            self._finished.append(span)
         return span
 
     def adopt(
@@ -359,7 +356,6 @@ class Tracer:
         spans = [Span.from_wire(record) for record in wire_spans]
         with self._lock:
             remap = {span.span_id: next(self._ids) for span in spans}
-        adopted = []
         for span in spans:
             span.span_id = remap[span.span_id]
             if span.parent_id in remap:
@@ -368,22 +364,22 @@ class Tracer:
                 span.parent_id = parent_id
             if not span.trace_id:
                 span.trace_id = trace_id
-            with self._lock:
-                self.pipeline.export_span(span)
-            adopted.append(span)
-        return adopted
+        with self._lock:
+            self._finished.extend(spans)
+        return spans
 
     # -- consumption ----------------------------------------------------
 
     def drain(self) -> list[Span]:
         """Return and clear every finished span collected so far."""
         with self._lock:
-            return self.memory.drain_spans()
+            spans, self._finished = self._finished, []
+        return spans
 
     def snapshot(self) -> list[Span]:
         """Finished spans collected so far, without clearing."""
         with self._lock:
-            return list(self.memory.spans)
+            return list(self._finished)
 
     def drain_wire(self) -> list[dict]:
         """Drain, as wire dicts (for shipping through ``JobResult``)."""

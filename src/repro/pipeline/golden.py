@@ -25,7 +25,7 @@ scheme, then each benchmark's second loop, and so on. A
 ``REPRO_BENCH_LOOPS`` prefix is therefore the head of the full file,
 with the same sampled lines; ``check`` ignores lines past it.
 
-Every result also goes through the store's codec
+Every result also goes through the store's codec under its job key
 (:func:`~repro.engine.cache.encode_entry`, then
 :func:`~repro.engine.cache.decode_entry`). An entry that decodes to
 other decisions is a fault, as is a simulated count that differs from
@@ -162,7 +162,8 @@ def observe(limit: int | None = None) -> tuple[list[dict], list[Difference]]:
                 line["error"] = done.error_kind.value or done.outcome.value
                 continue
             line.update(_decisions(done.result))
-            stored = _decisions(decode_entry(encode_entry(done.result), job.ddg))
+            raw = encode_entry(done.result, done.key)
+            stored = _decisions(decode_entry(raw, done.key, job.ddg))
             field = _first_field(line, stored)
             if field:
                 faults.append(

@@ -157,10 +157,6 @@ class PlacedGraph:
         """All COPY instances (bus communications)."""
         return [inst for inst in self._instances.values() if inst.is_copy]
 
-    def computing_instances(self) -> list[Instance]:
-        """All non-COPY instances."""
-        return [inst for inst in self._instances.values() if not inst.is_copy]
-
     def n_comms(self) -> int:
         """Number of bus communications in the placed loop."""
         return len(self.copies())

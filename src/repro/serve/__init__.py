@@ -9,7 +9,8 @@ in three layers over one :class:`~repro.engine.cache.ResultCache`:
   ``Retry-After`` backpressure, per-client in-flight caps, and
   graceful drain;
 * :mod:`repro.serve.manager` — the async job lifecycle bridging the
-  HTTP layer onto the existing engine executor/event machinery.
+  HTTP layer onto the engine's worker entry point, its worker-death
+  rule and its event stream, over one persistent process pool.
 
 The store is the engine's plain on-disk cache layout, so a server
 pointed at a directory serves whatever ``repro bench`` or any other

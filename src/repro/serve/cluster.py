@@ -1,12 +1,12 @@
 """In-process serve deployments: the test harness and the smoke check.
 
 :class:`ServeCluster` boots the full serving stack — result cache,
-admission, job manager, optionally the real HTTP listener — inside a
-background thread running its own asyncio loop, and exposes a plain
-synchronous facade. Tier-1 tests get a hermetic deployment (its store
-in a temp directory, thread-pool compiles, an ephemeral port when HTTP
-is requested) that exercises exactly the code a production deployment
-runs; nothing is mocked but the process boundary.
+admission, job manager with its process pool, optionally the real HTTP
+listener — inside a background thread running its own asyncio loop,
+and exposes a plain synchronous facade. Tier-1 tests get a hermetic
+deployment (its store in a temp directory, an ephemeral port when HTTP
+is requested) that runs exactly the code a production deployment runs,
+compile pool included; nothing is mocked.
 
 :func:`run_smoke` is the CI entry point (``python -m repro serve
 --smoke``): boot a server, push one job over real HTTP, poll it to
@@ -30,8 +30,7 @@ class ServeCluster:
 
     Args:
         root: the result store's directory.
-        executor: ``"thread"`` (hermetic default) or ``"process"``.
-        workers: compile pool size.
+        workers: compile pool size (worker processes).
         timeout: per-job timeout handed to the manager.
         queue_limit / max_inflight: admission knobs.
         http: also bind a real listener on ``127.0.0.1:<ephemeral>``.
@@ -40,7 +39,6 @@ class ServeCluster:
     def __init__(
         self,
         root: str | pathlib.Path,
-        executor: str = "thread",
         workers: int = 2,
         timeout: float | None = None,
         queue_limit: int = 1024,
@@ -51,7 +49,6 @@ class ServeCluster:
             host="127.0.0.1",
             port=0,
             data_dir=str(root),
-            executor=executor,
             workers=workers,
             timeout=timeout,
             queue_limit=queue_limit,
@@ -169,7 +166,7 @@ class ServeCluster:
         self.manager.records.clear()
 
 
-def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
+def run_smoke(quiet: bool = False) -> int:
     """Boot a server, compile one job over HTTP, verify it.
 
     Returns a process exit code (0 = the served result is
@@ -190,10 +187,10 @@ def run_smoke(executor: str = "thread", quiet: bool = False) -> int:
             print(message)
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
-        cluster = ServeCluster(root=tmp, executor=executor, workers=2, http=True)
+        cluster = ServeCluster(root=tmp, workers=2, http=True)
         with cluster:
             client = ServeClient(cluster.url, client_id="smoke")
-            say(f"server up at {cluster.url} ({cluster.config.executor} pool)")
+            say(f"server up at {cluster.url} ({cluster.config.workers} workers)")
             job = CompileJob(
                 ddg=daxpy(), machine=machine, scheme=Scheme.REPLICATION,
                 tag="smoke/daxpy",

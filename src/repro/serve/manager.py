@@ -11,10 +11,13 @@ HTTP front end and the existing engine machinery. Per submission it:
    capacity);
 3. otherwise asks the :class:`~repro.serve.admission.AdmissionController`
    for a slot (the HTTP layer turns a refusal into 429/503) and
-   schedules the compile on a persistent executor — a
-   ``ProcessPoolExecutor`` running the engine's own worker entry point
-   (:func:`repro.engine.executor.execute_wire`), or a thread pool for
-   hermetic in-process deployments;
+   schedules the compile on a persistent ``ProcessPoolExecutor``
+   running the engine's own worker entry point
+   (:func:`repro.engine.executor.execute_wire`). A pool call that
+   raised follows the batch engine's rule
+   (:func:`repro.engine.executor.pool_failure`): a job whose worker
+   died is retried once on a fresh pool, so one dead worker never
+   stops the server compiling;
 4. emits the same structured :class:`repro.engine.events.Event` stream
    the batch engine produces (``started``/``finished``/``cache_hit``/
    ``timeout``/``error``) to an :class:`~repro.engine.events.EventBus`
@@ -31,26 +34,18 @@ import asyncio
 import dataclasses
 import enum
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.cache import ResultCache
 from repro.engine.events import Event, EventBus, EventKind
-from repro.engine.executor import (
-    event_for_result,
-    execute_wire,
-    execute_wire_inline,
-)
+from repro.engine.executor import event_for_result, execute_wire, pool_failure
 from repro.engine.fingerprint import result_fingerprint
-from repro.engine.jobs import CompileJob, ErrorKind, JobResult, Outcome
+from repro.engine.jobs import CompileJob, JobResult, Outcome
 from repro.obs import spans as obs
-from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import format_traceparent
 from repro.obs.spans import SpanContext
 from repro.serve.admission import AdmissionController, AdmissionDecision
-
-_log = get_logger("serve")
 
 
 class JobStatus(enum.Enum):
@@ -117,17 +112,14 @@ class JobRecord:
 
 
 class JobManager:
-    """Owns job records, the executor pool, and event fan-out.
+    """Owns job records, the compile pool, and event fan-out.
 
     Args:
         cache: the result store; hits are served from it and every
             successful compile is written back to it.
         admission: slot controller shared with the HTTP layer.
-        executor: ``"thread"`` (hermetic, in-process) or ``"process"``
-            (the engine's ProcessPoolExecutor worker path).
-        workers: pool size.
-        timeout: per-job wall-clock seconds (process mode; best-effort
-            in thread mode).
+        workers: compile pool size (worker processes).
+        timeout: per-job wall-clock seconds, enforced in the worker.
         bus: optional event bus; per-job histories are kept either way.
         metrics: shared registry; one is created when omitted.
     """
@@ -136,32 +128,21 @@ class JobManager:
         self,
         cache: ResultCache,
         admission: AdmissionController | None = None,
-        executor: str = "thread",
         workers: int = 2,
         timeout: float | None = None,
         bus: EventBus | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         self.cache = cache
         self.admission = admission if admission is not None else AdmissionController()
-        self.executor_kind = executor
+        self._workers = workers
         self.timeout = timeout
         self.bus = bus if bus is not None else EventBus()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scoped = self.metrics.scoped("serve")
         self.records: dict[str, JobRecord] = {}
         self._tasks: set[asyncio.Task] = set()
-        self._pool: Executor
-        if executor == "process":
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._runner = execute_wire
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="serve-job"
-            )
-            self._runner = execute_wire_inline
+        self._pool = ProcessPoolExecutor(max_workers=workers)
 
     # -- submission ------------------------------------------------------
 
@@ -264,39 +245,31 @@ class JobManager:
         )
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(
-                self._pool,
-                self._runner,
-                record.wire,
-                record.key,
-                self.timeout,
-                traceparent,
-            )
-        except BrokenProcessPool:
-            _log.error("worker process died", key=record.key[:12], tag=record.tag)
-            result = JobResult(
-                key=record.key,
-                tag=record.tag,
-                outcome=Outcome.ERROR,
-                error="worker process died",
-                error_kind=ErrorKind.WORKER_DIED,
-                duration=time.perf_counter() - started,
-            )
-        except Exception as exc:  # deterministic worker-raised failure
-            result = JobResult(
-                key=record.key,
-                tag=record.tag,
-                outcome=Outcome.ERROR,
-                error=f"{type(exc).__name__}: {exc}",
-                error_kind=ErrorKind.INTERNAL,
-                duration=time.perf_counter() - started,
-            )
+        result: JobResult | None = None
+        attempt = 0
+        while result is None:
+            pool = self._pool
+            try:
+                result = await loop.run_in_executor(
+                    pool,
+                    execute_wire,
+                    record.wire,
+                    record.key,
+                    self.timeout,
+                    traceparent,
+                )
+            except Exception as exc:
+                attempt += 1
+                result = pool_failure(exc, record.key, record.tag, attempt)
+                if result is None:
+                    self._renew_pool(pool)
+                else:
+                    result.duration = time.perf_counter() - started
         if result.spans:
-            # Process-pool workers ship their span trees back; re-parent
-            # them under the serve.job span so the whole request is one
-            # stitched trace. (Workers given a traceparent already stamp
-            # the right trace id; trace_id= covers those that weren't.)
+            # Workers ship their span trees back; re-parent them under
+            # the serve.job span so the whole request is one stitched
+            # trace. (Workers given a traceparent already stamp the
+            # right trace id; trace_id= covers those that weren't.)
             obs.tracer().adopt(
                 result.spans,
                 parent_id=job_span.span_id or None,
@@ -314,6 +287,16 @@ class JobManager:
         self._emit(record, event_for_result(result))
         self.admission.release(record.client)
         record.done.set()
+
+    def _renew_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Replace the pool a dead worker broke, if nobody has yet.
+
+        Every job outstanding on a broken pool fails at once; the first
+        to get here starts the fresh pool and the rest retry on it.
+        """
+        if self._pool is broken:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._pool = ProcessPoolExecutor(max_workers=self._workers)
 
     def _emit(self, record: JobRecord, event: Event) -> None:
         if event.timestamp == 0.0:

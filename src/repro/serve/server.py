@@ -107,7 +107,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8774
     data_dir: str | None = None
-    executor: str = "process"
     workers: int = 2
     timeout: float | None = None
     queue_limit: int = 256
@@ -136,7 +135,6 @@ def build_service(
     manager = JobManager(
         cache=cache,
         admission=admission,
-        executor=config.executor,
         workers=config.workers,
         timeout=config.timeout,
         bus=bus,

@@ -9,7 +9,7 @@ from repro.engine import cache as cache_mod
 from repro.engine.cache import CacheStats, ResultCache, cache_enabled, cache_root
 from repro.engine.jobs import CompileJob, run_job
 from repro.pipeline.driver import Scheme
-from repro.workloads.patterns import daxpy
+from repro.workloads.patterns import daxpy, stencil5
 
 
 @pytest.fixture
@@ -70,7 +70,7 @@ class TestCorruptionTolerance:
         raw = bytearray(store.path_for(key).read_bytes())
         raw[-2] ^= 1
         with pytest.raises(cache_mod.CacheEntryError, match="checksum"):
-            cache_mod.decode_entry(bytes(raw))
+            cache_mod.decode_entry(bytes(raw), key)
         store.path_for(key).write_bytes(bytes(raw))
         assert store.get(key) is None
         assert not store.path_for(key).exists()
@@ -81,7 +81,7 @@ class TestCorruptionTolerance:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(cache_mod.seal(pickle.dumps({"schema": -1, "result": 0})))
         with pytest.raises(cache_mod.CacheEntryError, match="stale"):
-            cache_mod.decode_entry(path.read_bytes())
+            cache_mod.decode_entry(path.read_bytes(), key)
         assert store.get(key) is None
 
     @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ class TestCorruptionTolerance:
         self, store, compiled, stale_schema
     ):
         """Entries written under ANY earlier schema — v1 (pre-
-        diagnostics) through v10, each written here as a pickled
+        diagnostics) through v11, each written here as a pickled
         ``CompileResult`` without the digest v11 put in front — must
         read as misses and be evicted, never deserialised as-if
         current."""
@@ -112,15 +112,35 @@ class TestCorruptionTolerance:
         """A well-formed entry whose schema field is one behind is
         refused by the schema check itself, and evicted."""
         key, result = compiled
-        entry = pickle.loads(cache_mod.unseal(cache_mod.encode_entry(result)))
+        entry = pickle.loads(cache_mod.unseal(cache_mod.encode_entry(result, key)))
         entry["schema"] = cache_mod.ENGINE_SCHEMA_VERSION - 1
         path = store.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(cache_mod.seal(pickle.dumps(entry)))
         with pytest.raises(cache_mod.CacheEntryError, match="stale"):
-            cache_mod.decode_entry(path.read_bytes())
+            cache_mod.decode_entry(path.read_bytes(), key)
         assert store.get(key) is None
         assert not path.exists()
+
+    def test_entry_under_another_key_is_a_miss(self, store):
+        """An intact entry copied to another job's path is refused by a
+        key-only and a DDG-bound lookup alike, and removed."""
+        mine, theirs = (
+            CompileJob(ddg=ddg, machine="2c1b2l64r", scheme=Scheme.REPLICATION)
+            for ddg in (daxpy(), stencil5())
+        )
+        key, other = mine.content_hash(), theirs.content_hash()
+        store.put(other, run_job(theirs).result)
+        raw = store.path_for(other).read_bytes()
+        path = store.path_for(key)
+        for bound in (None, mine.ddg):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(raw)
+            assert store.get(key, ddg=bound) is None
+            assert not path.exists()
+        assert store.get(other) is not None
+        with pytest.raises(cache_mod.CacheEntryError, match="another job key"):
+            cache_mod.decode_entry(raw, key)
 
     def test_non_result_payload_is_a_miss(self, store, compiled):
         key, _ = compiled

@@ -177,7 +177,7 @@ class TestRebuiltKernel:
         _, key, _ = _stored(store, daxpy())
         path, raw = _damage(store, key, change)
         with pytest.raises(CacheEntryError, match=error):
-            decode_entry(raw)
+            decode_entry(raw, key)
         assert store.get(key) is None
         assert not path.exists()
 
@@ -251,7 +251,7 @@ class TestUntrustedBytes:
 
     def test_decode_refuses_any_global(self):
         with pytest.raises(pickle.UnpicklingError, match="no globals"):
-            decode_entry(seal(pickle.dumps(OpClass.LOAD)))
+            decode_entry(seal(pickle.dumps(OpClass.LOAD)), "0" * 64)
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +260,7 @@ def entries():
     made = []
     for ddg in (daxpy(), stencil5()):
         job = CompileJob(ddg=ddg, machine="4c1b2l64r", scheme=Scheme.REPLICATION)
-        made.append((job, encode_entry(run_job(job).result)))
+        made.append((job, encode_entry(run_job(job).result, job.content_hash())))
     (job, first), (_, second) = made
     return job.content_hash(), job.ddg, first, second
 
@@ -292,7 +292,7 @@ def test_damaged_entry_misses_or_loads(entries, data, bind):
     intact = (first, second)
     raw = data.draw(damaged(first, second).filter(lambda raw: raw not in intact))
     with pytest.raises(CacheEntryError, match="checksum"):
-        decode_entry(raw)
+        decode_entry(raw, key)
     with tempfile.TemporaryDirectory() as root:
         store = ResultCache(root=root, enabled=True)
         path = store.path_for(key)

@@ -49,7 +49,7 @@ def results():
 def _entry_writer(results, root):
     """Which writer's result the entry on disk holds (None: no writer's)."""
     raw = ResultCache(root=root, enabled=True).path_for(KEY).read_bytes()
-    stored = decode_entry(raw)  # must not raise: bytes are intact
+    stored = decode_entry(raw, KEY)  # must not raise: bytes are intact
     found = result_fingerprint(stored)
     for writer, result in results.items():
         if result_fingerprint(result) == found:

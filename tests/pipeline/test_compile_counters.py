@@ -51,8 +51,8 @@ class TestPerCompileCounters:
         assert lookups == [lookups[0]] * 3
 
     def test_concurrent_compiles_count_as_if_alone(self):
-        """Two threads compile at once, as serve's thread executor
-        runs jobs; a shortened switch interval interleaves them often."""
+        """Two threads of one process compile at once; a shortened
+        switch interval interleaves them often."""
         cells = _cells()
         alone = [_counters(loop.ddg.copy(), scheme) for loop, scheme in cells]
         together: list[dict | None] = [None] * len(cells)

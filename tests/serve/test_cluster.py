@@ -3,17 +3,23 @@
 An in-process deployment serves a slice of the bench matrix with
 results semantically identical to local compiles, replays it from its
 store once the job records are gone, and shares that store's layout
-with any :class:`ResultCache` in both directions.
+with any :class:`ResultCache` in both directions. Its compile pool
+enforces the per-job timeout and outlives a dead worker.
 """
+
+import os
+import time
 
 import pytest
 
+from repro.engine import jobs as jobs_mod
 from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob, ErrorKind, Outcome
 from repro.machine.config import parse_config
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.serve.cluster import ServeCluster
+from repro.workloads.patterns import daxpy, stencil5
 from repro.workloads.specfp import benchmark_loops
 
 MACHINE = "4c1b4l64r"
@@ -116,8 +122,58 @@ def test_illegal_kernel_is_served_as_error_and_never_stored(tmp_path, monkeypatc
 
     tamper_scheduler(monkeypatch)
     root = tmp_path / "store"
-    with ServeCluster(root=root, executor="thread", workers=1) as cluster:
+    with ServeCluster(root=root, workers=1) as cluster:
         (result,) = cluster.run_jobs(_matrix()[:1])
     assert result.outcome is Outcome.ERROR
     assert result.error_kind is ErrorKind.ILLEGAL_KERNEL
+    assert list(root.rglob("*.pkl")) == []
+
+
+def test_dead_worker_is_retried_once_and_serving_goes_on(tmp_path, monkeypatch):
+    """A job whose worker dies gets one retry on a fresh pool, then ends
+    WORKER_DIED; the jobs after it compile and are stored."""
+    deaths = tmp_path / "deaths"
+    real = jobs_mod.compile_loop
+
+    def die_on_daxpy(ddg, machine, **kwargs):
+        if ddg.name == "daxpy":
+            with open(deaths, "a") as handle:
+                handle.write("died\n")
+            os._exit(13)
+        return real(ddg, machine, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "compile_loop", die_on_daxpy)
+    doomed = CompileJob(ddg=daxpy(), machine="2c1b2l64r", scheme=Scheme.REPLICATION)
+    later = [
+        CompileJob(ddg=stencil5(), machine=machine, scheme=Scheme.REPLICATION)
+        for machine in ("2c1b2l64r", "4c1b2l64r")
+    ]
+    root = tmp_path / "store"
+    with ServeCluster(root=root, workers=1) as cluster:
+        (died,) = cluster.run_jobs([doomed])
+        compiled = cluster.run_jobs(later)
+    assert died.outcome is Outcome.ERROR
+    assert died.error_kind is ErrorKind.WORKER_DIED
+    assert deaths.read_text().splitlines() == ["died", "died"]
+    assert all(result.outcome is Outcome.OK for result in compiled)
+    store = ResultCache(root=root, enabled=True)
+    for job, result in zip(later, compiled):
+        stored = store.get(result.key, ddg=job.ddg)
+        assert result_fingerprint(stored) == result_fingerprint(result.result)
+    assert not store.path_for(died.key).exists()
+
+
+def test_timeout_ends_a_slow_compile_and_stores_nothing(tmp_path, monkeypatch):
+    real = jobs_mod.compile_loop
+
+    def slow(ddg, machine, **kwargs):
+        time.sleep(1.0)
+        return real(ddg, machine, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "compile_loop", slow)
+    root = tmp_path / "store"
+    with ServeCluster(root=root, workers=1, timeout=0.2) as cluster:
+        (result,) = cluster.run_jobs(_matrix()[:1])
+    assert result.outcome is Outcome.TIMEOUT
+    assert result.error_kind is ErrorKind.TIMEOUT
     assert list(root.rglob("*.pkl")) == []

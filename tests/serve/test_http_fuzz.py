@@ -157,7 +157,6 @@ def _check_response(response: bytes) -> None:
 def cluster(tmp_path_factory):
     with ServeCluster(
         root=tmp_path_factory.mktemp("serve-fuzz"),
-        executor="thread",
         workers=1,
         http=True,
     ) as up:

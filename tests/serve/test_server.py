@@ -25,7 +25,7 @@ MACHINE = "2c1b2l64r"
 def cluster(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-http")
     with ServeCluster(
-        root=root, executor="thread", workers=2,
+        root=root, workers=2,
         max_inflight=4,  # well below queue_limit so client_capped is reachable
         http=True,
     ) as up:
@@ -229,9 +229,7 @@ class TestKeyValidation:
         # The store must exist: ".." only resolves through real directories.
         store = tmp_path / "a" / "b" / "c"
         store.mkdir(parents=True)
-        with ServeCluster(
-            root=store, executor="thread", workers=1, http=True
-        ) as cluster:
+        with ServeCluster(root=store, workers=1, http=True) as cluster:
             yield cluster, victim
 
     @pytest.mark.parametrize(
@@ -362,9 +360,7 @@ class TestCorruptEntry:
     def test_corrupt_entry_is_a_clean_miss_over_the_wire(self, tmp_path):
         job = _job(ddg=stencil5(), tag="http/corrupt")
         key = job.content_hash()
-        with ServeCluster(
-            root=tmp_path, executor="thread", workers=1, http=True
-        ) as cluster:
+        with ServeCluster(root=tmp_path, workers=1, http=True) as cluster:
             client = ServeClient(cluster.url, client_id="pytest")
             client.submit(job)
             assert client.wait(key, timeout=120.0)["cached"] is False
@@ -389,9 +385,7 @@ class TestCorruptEntry:
         and a resubmission recompiles the job."""
         job = _job(ddg=stencil5(), tag="http/short-rows")
         key = job.content_hash()
-        with ServeCluster(
-            root=tmp_path, executor="thread", workers=1, http=True
-        ) as cluster:
+        with ServeCluster(root=tmp_path, workers=1, http=True) as cluster:
             client = ServeClient(cluster.url, client_id="pytest")
             client.submit(job)
             first = client.wait(key, timeout=120.0)

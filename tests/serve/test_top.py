@@ -101,9 +101,7 @@ class TestLiveLoop:
     def test_once_against_a_real_server(self, tmp_path):
         from repro.serve.cluster import ServeCluster
 
-        with ServeCluster(
-            root=tmp_path, executor="thread", workers=1, http=True
-        ) as cluster:
+        with ServeCluster(root=tmp_path, workers=1, http=True) as cluster:
             out = io.StringIO()
             code = run_top(cluster.url, once=True, out=out)
             assert code == 0

@@ -5,13 +5,13 @@ The distributed-tracing contract of the serve boundary: a client-side
 ``serve.job``, and the worker's ``engine.job`` (plus the pipeline pass
 spans under it) must share a single trace id and parent each other
 correctly — across the HTTP hop via the ``traceparent`` header, and
-across the executor hop via the runner's traceparent argument (thread
-pool) or the shipped-spans adopt path (process pool).
+across the process-pool hop via the worker's traceparent argument and
+the shipped-spans adopt path.
 
-``ServeCluster`` is in-process, so client, server and thread-pool
-worker spans all land in one tracer and the whole tree can be drained
-and checked; the process-executor variant additionally exercises
-worker-side span shipping + re-adoption.
+``ServeCluster`` runs client and server in one process, so their spans
+land in one tracer; the worker's spans travel back on the job result
+and are adopted into the same tracer, so the whole tree can be drained
+and checked.
 """
 
 import pytest
@@ -39,13 +39,11 @@ def _by_name(spans, name):
     return [span for span in spans if span.name == name]
 
 
-def _serve_and_drain(tmp_path, executor, ddg, tag):
+def _serve_and_drain(tmp_path, ddg, tag):
     """Submit one job over HTTP under tracing; return (spans, events)."""
     with obs.force_enabled():
         obs.tracer().drain()  # stray spans from earlier tests
-        with ServeCluster(
-            root=tmp_path, executor=executor, workers=1, http=True
-        ) as cluster:
+        with ServeCluster(root=tmp_path, workers=1, http=True) as cluster:
             client = ServeClient(cluster.url, client_id="stitch")
             submitted = client.submit(_job(ddg=ddg, tag=tag))
             client.wait(submitted["key"], timeout=120.0)
@@ -57,12 +55,11 @@ def _serve_and_drain(tmp_path, executor, ddg, tag):
     return spans, events
 
 
-class TestThreadExecutorStitching:
+class TestProcessExecutorStitching:
     @pytest.fixture(scope="class")
     def traced(self, tmp_path_factory):
         return _serve_and_drain(
-            tmp_path_factory.mktemp("stitch-thread"), "thread", daxpy(),
-            "stitch/daxpy",
+            tmp_path_factory.mktemp("stitch"), daxpy(), "stitch/daxpy"
         )
 
     def test_one_trace_spans_client_server_and_worker(self, traced):
@@ -143,11 +140,8 @@ class TestThreadExecutorStitching:
         assert all(span.trace_id != job_trace for span in polls)
 
 
-class TestProcessExecutorStitching:
-    def test_shipped_worker_spans_are_adopted_into_the_trace(self, tmp_path):
-        spans, _events = _serve_and_drain(
-            tmp_path, "process", daxpy(), "stitch/process",
-        )
+    def test_shipped_worker_spans_are_adopted_into_the_trace(self, traced):
+        spans, _events = traced
         job = _by_name(spans, "serve.job")[0]
         engine = [
             span for span in _by_name(spans, "engine.job")
@@ -167,9 +161,7 @@ class TestCacheHitStitching:
     def test_cache_hit_joins_the_submitting_request_trace(self, tmp_path):
         with obs.force_enabled():
             obs.tracer().drain()
-            with ServeCluster(
-                root=tmp_path, executor="thread", workers=1, http=True
-            ) as cluster:
+            with ServeCluster(root=tmp_path, workers=1, http=True) as cluster:
                 client = ServeClient(cluster.url, client_id="stitch")
                 job = _job(ddg=dot_product(), tag="stitch/cachehit")
                 first = client.submit(job)
@@ -206,9 +198,7 @@ class TestCacheHitStitching:
     def test_dedupe_keeps_the_original_trace(self, tmp_path):
         with obs.force_enabled():
             obs.tracer().drain()
-            with ServeCluster(
-                root=tmp_path, executor="thread", workers=1, http=True
-            ) as cluster:
+            with ServeCluster(root=tmp_path, workers=1, http=True) as cluster:
                 client = ServeClient(cluster.url, client_id="stitch")
                 job = _job(ddg=dot_product(), tag="stitch/dedupe")
                 first = client.submit(job)

@@ -422,7 +422,7 @@ class TestCache:
 
 class TestServeCLI:
     def test_serve_smoke_exit_code(self, capsys):
-        assert main(["serve", "--smoke", "--executor", "thread"]) == 0
+        assert main(["serve", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "serve smoke: OK" in out
 

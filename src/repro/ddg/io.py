@@ -13,14 +13,25 @@ external tool (a real compiler frontend, a trace analyzer, a script):
 
 Node order is significant only for uid assignment; names must be unique
 within a file (the in-memory graph tolerates duplicates, files do not).
+
+:func:`canonical_json` is the compact, key-sorted form of the same dict:
+the text a compile job's key hashes and a store entry holds.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 
 from repro.ddg.graph import Ddg, DdgError, EdgeKind
 from repro.machine.resources import OpClass
+
+#: ``canonical_json`` memo: per graph, the (version, name) it was taken
+#: at and the text. ``name`` is a plain attribute ``version`` does not
+#: track, so it is part of the check.
+_CANONICAL: "weakref.WeakKeyDictionary[Ddg, tuple[tuple, str]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def to_dict(ddg: Ddg) -> dict:
@@ -45,6 +56,21 @@ def to_dict(ddg: Ddg) -> dict:
             for edge in ddg.edges()
         ],
     }
+
+
+def canonical_json(ddg: Ddg) -> str:
+    """:func:`to_dict` as compact JSON with sorted keys (memoized).
+
+    Computed once per graph version and name, so hashing one loop for
+    many jobs serializes it once.
+    """
+    stamp = (ddg.version, ddg.name)
+    cached = _CANONICAL.get(ddg)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    text = json.dumps(to_dict(ddg), sort_keys=True, separators=(",", ":"))
+    _CANONICAL[ddg] = (stamp, text)
+    return text
 
 
 def from_dict(data: dict) -> Ddg:

@@ -15,8 +15,8 @@ the pickle (:func:`seal`). :func:`encode_entry` writes it and
 
 * ``schema``: :data:`~repro.engine.jobs.ENGINE_SCHEMA_VERSION`;
 * ``key``: the job key the entry was stored under;
-* ``ddg``: the loop, as one string in the canonical JSON form of
-  :func:`repro.ddg.io.to_dict` that the job key hashes;
+* ``ddg``: the loop, as one string: :func:`repro.ddg.io.canonical_json`,
+  the text the job key hashes;
 * ``machine`` (the name :func:`~repro.engine.jobs.resolve_machine`
   parses), ``scheme``, ``mii``, ``ii`` and ``causes``;
 * ``clusters``: each node's cluster, and ``replicas``, ``removed`` and
@@ -159,11 +159,6 @@ def unseal(raw: bytes) -> bytes:
     return body
 
 
-def _canonical_ddg(ddg: Ddg) -> str:
-    """The loop in the canonical JSON form the job key hashes."""
-    return json.dumps(ddg_io.to_dict(ddg), sort_keys=True, separators=(",", ":"))
-
-
 def encode_entry(result: CompileResult, key: str) -> bytes:
     """The store's bytes for ``result`` under job ``key`` (see the
     module docstring)."""
@@ -176,7 +171,7 @@ def encode_entry(result: CompileResult, key: str) -> bytes:
     entry = {
         "schema": ENGINE_SCHEMA_VERSION,
         "key": key,
-        "ddg": _canonical_ddg(ddg),
+        "ddg": ddg_io.canonical_json(ddg),
         "machine": kernel.machine.name,
         "scheme": result.scheme_name,
         "mii": result.mii,
@@ -282,13 +277,13 @@ def decode_entry(raw: bytes, key: str, ddg: Ddg | None = None) -> CompileResult:
         raise CacheEntryError(
             f"{len(rows)} kernel rows for {len(graph)} placed instances"
         )
+    instance = graph.instance
     kernel = Kernel(
         graph=graph,
         machine=machine,
         ii=ii,
         ops={
-            iid: ScheduledOp(instance=graph.instance(iid), start=start, bus=bus)
-            for iid, start, bus in rows
+            iid: ScheduledOp(instance(iid), start, bus) for iid, start, bus in rows
         },
         copy_latency_override=entry["copy_latency_override"],
     )

@@ -13,8 +13,8 @@
    hanging the suite or poisoning the pool;
 4. turns a pool call that raised into a result with
    :func:`pool_failure`: a job whose worker process died
-   (``BrokenProcessPool``) is retried once on a fresh pool, then
-   degrades to a structured ``ERROR``;
+   (``BrokenProcessPool``) is retried once on a one-worker pool of its
+   own, then degrades to a structured ``ERROR``;
 5. writes fresh successes back to the cache and emits a structured
    event per transition.
 
@@ -212,8 +212,10 @@ def pool_failure(
     A worker process dying (OOM kill, segfault in an extension, …)
     breaks the whole pool: every outstanding call raises
     ``BrokenProcessPool``. That says nothing about the job, so the
-    answer is None, "retry on a fresh pool", until the job has had
-    :data:`WORKER_RETRIES` retries; then it is ``WORKER_DIED``. Anything
+    answer is None, "retry", until the job has had
+    :data:`WORKER_RETRIES` retries; then it is ``WORKER_DIED``. Callers
+    run each retry on a one-worker pool of its own, so a job that kills
+    its worker every time takes no other job down with it. Anything
     else the worker raised is deterministic and ``INTERNAL`` at once.
     """
     if not isinstance(exc, BrokenProcessPool):
@@ -346,36 +348,53 @@ def _run_pool(
 ) -> None:
     """Fan pending jobs out over worker processes.
 
-    Jobs whose worker died go round again on a fresh pool, as
-    :func:`pool_failure` rules, so the batch always completes.
+    A worker that dies breaks the whole pool, so every job outstanding
+    on it fails at once. Each such job is retried, as :func:`pool_failure`
+    rules, on a one-worker pool of its own (``workers`` of them at a
+    time), so only a job whose own compile kills its worker ends
+    ``WORKER_DIED``, and the batch always completes. Retry pools start
+    their workers the way the first pool did, so a retry runs the job
+    as its first try did.
     """
-    attempts = dict.fromkeys(pending, 0)
-    queue = list(pending)
-    while queue:
-        retry: list[int] = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(queue))) as pool:
-            futures = {}
-            for index in queue:
-                bus.emit(
-                    Event(kind=EventKind.STARTED, key=keys[index], tag=jobs[index].tag)
-                )
-                futures[index] = pool.submit(
+
+    def run(group: list[int], pool_for, attempt: int) -> list[int]:
+        """Run ``group``, each job on ``pool_for()``; the jobs to retry."""
+        futures = []
+        for index in group:
+            bus.emit(
+                Event(kind=EventKind.STARTED, key=keys[index], tag=jobs[index].tag)
+            )
+            futures.append(
+                pool_for().submit(
                     execute_wire,
                     jobs[index].to_wire(),
                     keys[index],
                     timeout,
                     traceparent,
                 )
-            for index in queue:
-                try:
-                    results[index] = futures[index].result()
-                except Exception as exc:
-                    attempts[index] += 1
-                    failed = pool_failure(
-                        exc, keys[index], jobs[index].tag, attempts[index]
-                    )
-                    if failed is None:
-                        retry.append(index)
-                    else:
-                        results[index] = failed
-        queue = retry
+            )
+        retry = []
+        for index, future in zip(group, futures):
+            try:
+                results[index] = future.result()
+            except Exception as exc:
+                results[index] = pool_failure(
+                    exc, keys[index], jobs[index].tag, attempt
+                )
+                if results[index] is None:
+                    retry.append(index)
+        return retry
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+        retry = run(pending, lambda: pool, 1)
+    attempt = 1
+    while retry:
+        attempt += 1
+        wave, retry = retry, []
+        for at in range(0, len(wave), workers):
+            with contextlib.ExitStack() as alone:
+                retry += run(
+                    wave[at : at + workers],
+                    lambda: alone.enter_context(ProcessPoolExecutor(max_workers=1)),
+                    attempt,
+                )

@@ -150,11 +150,10 @@ class CompileJob:
             self.scheme.value if isinstance(self.scheme, Scheme) else self.scheme
         )
 
-    def canonical_payload(self) -> dict:
-        """JSON-ready dict that fully determines the compilation."""
+    def _settings(self) -> dict:
+        """The canonical payload without its DDG."""
         return {
             "schema": ENGINE_SCHEMA_VERSION,
-            "ddg": ddg_io.to_dict(self.ddg),
             "machine": self.machine,
             "scheme": self.scheme_key,
             "flags": {
@@ -165,18 +164,30 @@ class CompileJob:
             },
         }
 
+    def canonical_payload(self) -> dict:
+        """JSON-ready dict that fully determines the compilation."""
+        return {"ddg": ddg_io.to_dict(self.ddg), **self._settings()}
+
     def content_hash(self) -> str:
-        """Deterministic sha256 hex digest of the canonical payload."""
-        canon = json.dumps(
-            self.canonical_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        """Deterministic sha256 hex digest of the canonical payload.
+
+        The digest of ``json.dumps(canonical_payload(), sort_keys=True,
+        separators=(",", ":"))``, fed in three parts so the DDG's text
+        comes from the :func:`~repro.ddg.io.canonical_json` memo:
+        ``"ddg"`` sorts before every settings key, so the payload's text
+        is ``{"ddg":`` + the DDG's text + ``,`` + the settings' text
+        without its opening brace.
+        """
+        settings = json.dumps(self._settings(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(b'{"ddg":')
+        digest.update(ddg_io.canonical_json(self.ddg).encode("utf-8"))
+        digest.update(b",")
+        digest.update(settings[1:].encode("utf-8"))
+        return digest.hexdigest()
 
     def to_wire(self) -> dict:
         """Pickle-friendly plain-dict form for cross-process submission."""
-        payload = self.canonical_payload()
-        payload["tag"] = self.tag
-        return payload
+        return {**self.canonical_payload(), "tag": self.tag}
 
     @staticmethod
     def from_wire(payload: dict) -> "CompileJob":

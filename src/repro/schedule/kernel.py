@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 from repro.machine.config import MachineConfig
 from repro.schedule.placed import Instance, PlacedGraph
 
 
-@dataclasses.dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     """One instance bound to a cycle (and to a bus, for COPY ops)."""
 
     instance: Instance

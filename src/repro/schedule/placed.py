@@ -16,15 +16,14 @@ whatever the clusters.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-import functools
 from collections.abc import Iterator
+from typing import NamedTuple
 
 from repro.core.plan import ReplicationPlan
 from repro.ddg.graph import Ddg, EdgeKind
 from repro.machine.config import MachineConfig
-from repro.machine.resources import FuKind, OpClass, fu_kind_of
+from repro.machine.resources import FU_KINDS, FuKind, OpClass
 from repro.partition.partition import Partition
 
 
@@ -43,9 +42,12 @@ class Role(enum.Enum):
         return f"Role.{self.name}"
 
 
-@dataclasses.dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One operation slot in the placed loop body.
+
+    A tuple record: immutable, equal and hashed by value, and cheap to
+    build, since every schedule attempt and every store read builds one
+    per operation slot.
 
     Attributes:
         iid: unique instance id.
@@ -70,17 +72,16 @@ class Instance:
         """True for bus communication instances."""
         return self.role is Role.COPY
 
-    @functools.cached_property
+    @property
     def fu_kind(self) -> FuKind:
         """Functional-unit kind (raises KeyError for COPY instances)."""
-        return fu_kind_of(self.op_class)
+        return FU_KINDS[self.op_class]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Instance({self.name}@c{self.cluster})"
 
 
-@dataclasses.dataclass(frozen=True)
-class PlacedEdge:
+class PlacedEdge(NamedTuple):
     """A dependence between instances, with iteration distance."""
 
     src: int
@@ -104,18 +105,12 @@ class PlacedGraph:
         self, origin: int, cluster: int, op_class: OpClass, role: Role, name: str
     ) -> Instance:
         """Create an instance; returns it."""
-        inst = Instance(
-            iid=self._next_iid,
-            origin=origin,
-            cluster=cluster,
-            op_class=op_class,
-            role=role,
-            name=name,
-        )
-        self._instances[inst.iid] = inst
-        self._succ[inst.iid] = []
-        self._pred[inst.iid] = []
-        self._next_iid += 1
+        iid = self._next_iid
+        inst = Instance(iid, origin, cluster, op_class, role, name)
+        self._instances[iid] = inst
+        self._succ[iid] = []
+        self._pred[iid] = []
+        self._next_iid = iid + 1
         return inst
 
     def add_edge(
@@ -126,9 +121,9 @@ class PlacedGraph:
         kind: EdgeKind = EdgeKind.REGISTER,
     ) -> None:
         """Wire a dependence between two instances."""
-        edge = PlacedEdge(src=src.iid, dst=dst.iid, distance=distance, kind=kind)
-        self._succ[src.iid].append(edge)
-        self._pred[dst.iid].append(edge)
+        edge = PlacedEdge(src.iid, dst.iid, distance, kind)
+        self._succ[edge.src].append(edge)
+        self._pred[edge.dst].append(edge)
 
     # ------------------------------------------------------------------
     # Queries
@@ -186,80 +181,82 @@ def build_placed_graph(
     """
     plan = plan if plan is not None else ReplicationPlan()
     graph = PlacedGraph(name=ddg.name, n_clusters=machine.n_clusters)
+    add_instance, add_edge = graph.add_instance, graph.add_edge
+    cluster_of = partition.cluster_of
 
     # Instance tables: per original uid, the instance in each cluster.
-    local: dict[int, dict[int, Instance]] = {uid: {} for uid in ddg.node_ids()}
-
+    local: dict[int, dict[int, Instance]] = {}
     for node in ddg.nodes():
-        home = partition.cluster_of(node.uid)
-        if node.uid not in plan.removed:
-            inst = graph.add_instance(
-                node.uid, home, node.op_class, Role.ORIGINAL, node.name
+        uid = node.uid
+        home = cluster_of(uid)
+        here = local[uid] = {}
+        if uid not in plan.removed:
+            here[home] = add_instance(
+                uid, home, node.op_class, Role.ORIGINAL, node.name
             )
-            local[node.uid][home] = inst
-        for cluster in sorted(plan.replicas.get(node.uid, ())):
-            if cluster in local[node.uid]:
+        replicas = plan.replicas.get(uid)
+        if not replicas:
+            continue
+        for cluster in sorted(replicas):
+            if cluster in here:
                 raise PlacementError(
                     f"replica of {node.name} duplicates an instance in "
                     f"cluster {cluster}"
                 )
-            inst = graph.add_instance(
-                node.uid, cluster, node.op_class, Role.REPLICA, f"{node.name}'"
+            here[cluster] = add_instance(
+                uid, cluster, node.op_class, Role.REPLICA, f"{node.name}'"
             )
-            local[node.uid][cluster] = inst
 
     # Surviving communications: a value still crosses clusters when some
     # consumer instance has no local instance of the producer.
     copies: dict[int, Instance] = {}
-    for uid in ddg.node_ids():
-        if uid in plan.removed_comms:
+    for uid, producers in local.items():
+        if not producers or uid in plan.removed_comms:
             continue
-        producers = local[uid]
-        if not producers:
-            continue
-        needs_bus = False
         for edge in ddg.out_edges(uid):
-            if edge.kind is not EdgeKind.REGISTER:
-                continue
-            for consumer_inst in local[edge.dst].values():
-                if consumer_inst.cluster not in producers:
-                    needs_bus = True
-        if needs_bus:
-            home = partition.cluster_of(uid)
-            if home not in producers:
-                raise PlacementError(
-                    f"value {ddg.node(uid).name} must be broadcast but its "
-                    "home instance was removed"
-                )
-            copy = graph.add_instance(
-                uid, home, OpClass.COPY, Role.COPY, f"copy({ddg.node(uid).name})"
+            if (
+                edge.kind is EdgeKind.REGISTER
+                and not local[edge.dst].keys() <= producers.keys()
+            ):
+                break
+        else:
+            continue  # every consumer instance has a local producer
+        home = cluster_of(uid)
+        if home not in producers:
+            raise PlacementError(
+                f"value {ddg.node(uid).name} must be broadcast but its "
+                "home instance was removed"
             )
-            graph.add_edge(producers[home], copy, distance=0)
-            copies[uid] = copy
+        copy = add_instance(
+            uid, home, OpClass.COPY, Role.COPY, f"copy({ddg.node(uid).name})"
+        )
+        add_edge(producers[home], copy, 0)
+        copies[uid] = copy
 
-    # Wire register dependences via the operand resolution rule.
+    # Wire register dependences via the operand resolution rule, then
+    # memory-order dependences, which bind every instance pair of their
+    # endpoints (one walk of the DDG's edges; the wiring order is the
+    # register edges', then the memory edges').
+    memory = []
     for edge in ddg.edges():
         if edge.kind is not EdgeKind.REGISTER:
+            memory.append(edge)
             continue
-        for consumer_inst in local[edge.dst].values():
-            cluster = consumer_inst.cluster
-            producer_inst = local[edge.src].get(cluster)
+        producers = local[edge.src]
+        for cluster, consumer_inst in local[edge.dst].items():
+            producer_inst = producers.get(cluster)
             if producer_inst is not None:
-                graph.add_edge(producer_inst, consumer_inst, edge.distance)
+                add_edge(producer_inst, consumer_inst, edge.distance)
             elif edge.src in copies:
-                graph.add_edge(copies[edge.src], consumer_inst, edge.distance)
+                add_edge(copies[edge.src], consumer_inst, edge.distance)
             else:
                 raise PlacementError(
                     f"instance {consumer_inst.name} in cluster {cluster} "
                     f"cannot reach value {ddg.node(edge.src).name}"
                 )
-
-    # Memory-order dependences bind every instance pair of the endpoints.
-    for edge in ddg.edges():
-        if edge.kind is not EdgeKind.MEMORY:
-            continue
+    for edge in memory:
         for src_inst in local[edge.src].values():
             for dst_inst in local[edge.dst].values():
-                graph.add_edge(src_inst, dst_inst, edge.distance, EdgeKind.MEMORY)
+                add_edge(src_inst, dst_inst, edge.distance, EdgeKind.MEMORY)
 
     return graph

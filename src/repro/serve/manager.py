@@ -15,9 +15,10 @@ HTTP front end and the existing engine machinery. Per submission it:
    running the engine's own worker entry point
    (:func:`repro.engine.executor.execute_wire`). A pool call that
    raised follows the batch engine's rule
-   (:func:`repro.engine.executor.pool_failure`): a job whose worker
-   died is retried once on a fresh pool, so one dead worker never
-   stops the server compiling;
+   (:func:`repro.engine.executor.pool_failure`): the broken pool is
+   replaced, and a job whose worker died is retried once on a
+   one-worker pool of its own, so one dead worker never stops the
+   server compiling and a job that kills its worker fails alone;
 4. emits the same structured :class:`repro.engine.events.Event` stream
    the batch engine produces (``started``/``finished``/``cache_hit``/
    ``timeout``/``error``) to an :class:`~repro.engine.events.EventBus`
@@ -143,6 +144,8 @@ class JobManager:
         self.records: dict[str, JobRecord] = {}
         self._tasks: set[asyncio.Task] = set()
         self._pool = ProcessPoolExecutor(max_workers=workers)
+        # Retries run on one-worker pools of their own, ``workers`` at a time.
+        self._alone = asyncio.Semaphore(workers)
 
     # -- submission ------------------------------------------------------
 
@@ -243,28 +246,20 @@ class JobManager:
         self._emit(
             record, Event(kind=EventKind.STARTED, key=record.key, tag=record.tag)
         )
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
         result: JobResult | None = None
         attempt = 0
         while result is None:
-            pool = self._pool
+            shared = self._pool if attempt == 0 else None
             try:
-                result = await loop.run_in_executor(
-                    pool,
-                    execute_wire,
-                    record.wire,
-                    record.key,
-                    self.timeout,
-                    traceparent,
-                )
+                result = await self._attempt(record, traceparent, shared)
             except Exception as exc:
                 attempt += 1
                 result = pool_failure(exc, record.key, record.tag, attempt)
-                if result is None:
-                    self._renew_pool(pool)
-                else:
+                if result is not None:
                     result.duration = time.perf_counter() - started
+                elif shared is not None:
+                    self._renew_pool(shared)
         if result.spans:
             # Workers ship their span trees back; re-parent them under
             # the serve.job span so the whole request is one stitched
@@ -288,11 +283,31 @@ class JobManager:
         self.admission.release(record.client)
         record.done.set()
 
+    async def _attempt(
+        self,
+        record: JobRecord,
+        traceparent: str | None,
+        shared: ProcessPoolExecutor | None,
+    ) -> JobResult:
+        """One try of ``record``'s compile, on the ``shared`` pool or,
+        when None, on a one-worker pool of its own; raises what the
+        pool call raised."""
+        loop = asyncio.get_running_loop()
+        call = (execute_wire, record.wire, record.key, self.timeout, traceparent)
+        if shared is not None:
+            return await loop.run_in_executor(shared, *call)
+        async with self._alone:
+            alone = ProcessPoolExecutor(max_workers=1)
+            try:
+                return await loop.run_in_executor(alone, *call)
+            finally:
+                alone.shutdown(wait=False)
+
     def _renew_pool(self, broken: ProcessPoolExecutor) -> None:
         """Replace the pool a dead worker broke, if nobody has yet.
 
         Every job outstanding on a broken pool fails at once; the first
-        to get here starts the fresh pool and the rest retry on it.
+        to get here starts the fresh pool for later submissions.
         """
         if self._pool is broken:
             broken.shutdown(wait=False, cancel_futures=True)

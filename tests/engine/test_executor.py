@@ -139,6 +139,45 @@ class TestFailureIsolation:
         assert results[0].outcome is Outcome.ERROR
         assert "worker" in results[0].error
 
+    def test_a_dying_job_takes_no_pool_mate_down(self, monkeypatch, tmp_path):
+        """The jobs that shared a pool with one that kills its worker are
+        retried each on a pool of its own, and compile."""
+        jobs = applu_batch_with_a_dying_job(monkeypatch)
+        store = ResultCache(root=tmp_path, enabled=True)
+        results = run_jobs(jobs, EngineConfig(jobs=2, cache=store))
+        assert_only_the_dying_job_failed(jobs, results, store)
+
+
+def applu_batch_with_a_dying_job(monkeypatch) -> list[CompileJob]:
+    """applu_0..applu_5 on 4c1b2l64r, where applu_0's compile kills its
+    worker process every time it runs."""
+    real = jobs_mod.compile_loop
+
+    def die_on_applu_0(ddg, machine, **kwargs):
+        if ddg.name == "applu_0":
+            os._exit(13)
+        return real(ddg, machine, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "compile_loop", die_on_applu_0)
+    return [
+        CompileJob(
+            ddg=loop.ddg, machine="4c1b2l64r", scheme=Scheme.REPLICATION, tag=loop.name
+        )
+        for loop in benchmark_loops("applu", limit=6)
+    ]
+
+
+def assert_only_the_dying_job_failed(jobs, results, store):
+    """applu_0 ended WORKER_DIED and stored nothing; its pool-mates
+    compiled and are stored."""
+    assert [result.error_kind for result in results] == (
+        [ErrorKind.WORKER_DIED] + [ErrorKind.NONE] * 5
+    )
+    assert [result.outcome for result in results[1:]] == [Outcome.OK] * 5
+    for job, result in zip(jobs[1:], results[1:]):
+        assert store.get(result.key, ddg=job.ddg).ii == result.result.ii
+    assert not store.path_for(results[0].key).exists()
+
 
 def tamper_scheduler(monkeypatch):
     """Make the pass pipeline's scheduler return an illegal kernel: one

@@ -1,8 +1,17 @@
-"""Content-addressed job keying: determinism and sensitivity."""
+"""Content-addressed job keying: determinism, sensitivity, and the
+memoized canonical JSON the key is hashed from."""
+
+import hashlib
+import itertools
+import json
 
 import pytest
 
+from repro.ddg import io as ddg_io
+from repro.ddg.graph import Ddg
 from repro.engine.jobs import CompileJob, ErrorKind, Outcome, run_job
+from repro.machine.resources import OpClass
+from repro.pipeline import golden
 from repro.pipeline.driver import Scheme
 from repro.workloads.patterns import daxpy, stencil5
 from repro.workloads.specfp import benchmark_loops
@@ -96,6 +105,99 @@ class TestHashSensitivity:
     )
     def test_each_flag_changes_hash(self, flag, value):
         assert job().content_hash() != job(**{flag: value}).content_hash()
+
+
+FLAGS = {
+    "length_replication": True,
+    "copy_latency_override": 0,
+    "spare_comms": 2,
+    "max_ii": 99,
+}
+
+
+def reference_hash(made: CompileJob) -> str:
+    """The key as the whole payload's one JSON text defines it."""
+    canon = json.dumps(made.canonical_payload(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+class TestHashReference:
+    def test_key_is_the_sha256_of_the_payload_text(self):
+        """Every golden cell of the 4-loop prefix (CI's
+        ``REPRO_BENCH_LOOPS``): each suite loop on the six Fig. 7
+        machines under the three schemes, with default flags and with
+        each flag set."""
+        variants = [{}] + [{flag: value} for flag, value in FLAGS.items()]
+        checked = 0
+        for (loop, machine, scheme), flags in itertools.product(
+            golden.matrix(4), variants
+        ):
+            made = job(loop.ddg, machine=machine, scheme=scheme, **flags)
+            assert made.content_hash() == reference_hash(made)
+            checked += 1
+        assert checked == 720 * 5
+
+
+def graph(name="g", nodes=("a", "b", "c"), edges=(("a", "b", 2),)) -> Ddg:
+    built = Ddg(name)
+    by_name = {node: built.add_node(node, OpClass.INT_ARITH) for node in nodes}
+    for src, dst, distance in edges:
+        built.add_edge(by_name[src], by_name[dst], distance=distance)
+    return built
+
+
+def key(ddg: Ddg) -> str:
+    return job(ddg).content_hash()
+
+
+class TestHashMemo:
+    """The key reads a memo of the DDG's JSON text; a changed graph is
+    hashed from its new content."""
+
+    @pytest.mark.parametrize(
+        "change, fresh",
+        [
+            (
+                lambda g: g.add_node("d", OpClass.INT_ARITH),
+                lambda: graph(nodes=("a", "b", "c", "d")),
+            ),
+            (
+                lambda g: g.add_edge(g.node_by_name("a"), g.node_by_name("b"), 1),
+                lambda: graph(edges=(("a", "b", 1),)),
+            ),
+            (
+                lambda g: g.remove_node(g.node_by_name("c")),
+                lambda: graph(nodes=("a", "b")),
+            ),
+            (lambda g: setattr(g, "name", "renamed"), lambda: graph(name="renamed")),
+        ],
+        ids=["add_node", "tighten_edge", "remove_node", "rename"],
+    )
+    def test_changed_graph_hashes_like_a_fresh_equal_one(self, change, fresh):
+        ddg = graph()
+        before = key(ddg)
+        assert key(ddg) == before  # a memo hit
+        change(ddg)
+        assert key(ddg) == key(fresh()) == reference_hash(job(ddg))
+        assert key(ddg) != before
+        assert ddg_io.canonical_json(ddg) == json.dumps(
+            ddg_io.to_dict(ddg), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_diverging_copy_hashes_apart_from_its_source(self):
+        """A copy starts at its source's version; changed apart by the
+        same number of mutations, each keeps its own key."""
+        source = graph()
+        before = key(source)
+        clone = source.copy()
+        assert key(clone) == before
+        source.add_node("x", OpClass.INT_ARITH)
+        clone.add_node("y", OpClass.FP_ARITH)
+        assert source.version == clone.version
+        assert key(source) != key(clone)
+        assert key(source) == key(graph(nodes=("a", "b", "c", "x")))
+        assert key(clone) == reference_hash(job(clone))
+        assert before not in {key(source), key(clone)}
 
 
 class TestRunJob:

@@ -1,4 +1,7 @@
-"""Placed-graph construction: instances, copies, operand resolution."""
+"""Placed-graph construction: instances, copies, operand resolution,
+and the tuple records the placed graph and the kernel are made of."""
+
+import pickle
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.schedule.placed import (
     Role,
     build_placed_graph,
 )
+from repro.schedule.scheduler import schedule
 
 
 @pytest.fixture
@@ -160,3 +164,81 @@ class TestReplicatedPlacement:
         replica = by_name(placed, "p'")
         (edge,) = placed.in_edges(replica.iid)
         assert placed.instance(edge.src).is_copy
+
+
+class TestRecords:
+    """``Instance``, ``PlacedEdge`` and ``ScheduledOp`` are values."""
+
+    @pytest.fixture
+    def placed(self, m2):
+        """A graph, partition and plan that place an original, a replica
+        and a copy: g broadcasts to g_user and to p's replica, and p's
+        replica feeds c."""
+        b = DdgBuilder()
+        b.int_op("g").int_op("p").int_op("c").int_op("g_user")
+        b.dep("g", "p").dep("p", "c").dep("g", "g_user")
+        g = b.build()
+        home = {"g": 0, "p": 0, "c": 1, "g_user": 1}
+        part = Partition(g, {g.node_by_name(n).uid: c for n, c in home.items()}, 2)
+        p = g.node_by_name("p").uid
+        plan = ReplicationPlan(
+            replicas={p: frozenset({1})}, removed_comms=frozenset({p})
+        )
+        return g, part, plan
+
+    @staticmethod
+    def records(graph, kernel):
+        instances = list(graph.instances())
+        edges = [edge for inst in instances for edge in graph.out_edges(inst.iid)]
+        return instances, edges, [kernel.ops[inst.iid] for inst in instances]
+
+    def test_two_builds_give_equal_equally_hashed_records(self, placed, m2):
+        g, part, plan = placed
+        first, second = (
+            self.records(graph, schedule(graph, m2, ii=4))
+            for graph in (
+                build_placed_graph(g, part, m2, plan),
+                build_placed_graph(g, part, m2, plan),
+            )
+        )
+        # One replica and one copy: every role is there, and every kind
+        # of op (plain and on a bus) is scheduled.
+        assert {inst.role for inst in first[0]} == set(Role)
+        assert any(op.bus is not None for op in first[2])
+        for mine, theirs in zip(first, second):
+            assert mine and mine == theirs
+            assert [hash(record) for record in mine] == [
+                hash(record) for record in theirs
+            ]
+
+    def test_assigning_an_attribute_raises(self, placed, m2):
+        g, part, plan = placed
+        graph = build_placed_graph(g, part, m2, plan)
+        instances, edges, ops = self.records(graph, schedule(graph, m2, ii=4))
+        for record, field in (
+            (instances[0], "cluster"),
+            (edges[0], "distance"),
+            (ops[0], "start"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 7)
+
+    def test_fu_kind_of_a_copy_raises_key_error(self, cross_pair, m2):
+        g, part = cross_pair
+        (copy,) = build_placed_graph(g, part, m2, EMPTY_PLAN).copies()
+        assert copy.is_copy
+        with pytest.raises(KeyError):
+            copy.fu_kind
+
+    def test_pickled_kernel_round_trips_equal(self, placed, m2):
+        """The process pool ships kernels pickled."""
+        g, part, plan = placed
+        graph = build_placed_graph(g, part, m2, plan)
+        kernel = schedule(graph, m2, ii=4)
+        loaded = pickle.loads(pickle.dumps(kernel))
+        assert loaded.ops == kernel.ops
+        assert (loaded.ii, loaded.machine) == (kernel.ii, kernel.machine)
+        assert self.records(loaded.graph, loaded) == self.records(graph, kernel)
+        assert [type(op) for op in loaded.ops.values()] == [
+            type(op) for op in kernel.ops.values()
+        ]

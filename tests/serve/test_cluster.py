@@ -163,6 +163,23 @@ def test_dead_worker_is_retried_once_and_serving_goes_on(tmp_path, monkeypatch):
     assert not store.path_for(died.key).exists()
 
 
+def test_a_dying_job_takes_no_pool_mate_down(tmp_path, monkeypatch):
+    """Jobs submitted together with one that kills its worker are each
+    retried on a pool of their own, and compile."""
+    from tests.engine.test_executor import (
+        applu_batch_with_a_dying_job,
+        assert_only_the_dying_job_failed,
+    )
+
+    jobs = applu_batch_with_a_dying_job(monkeypatch)
+    root = tmp_path / "store"
+    with ServeCluster(root=root, workers=2) as cluster:
+        results = cluster.run_jobs(jobs)
+    assert_only_the_dying_job_failed(
+        jobs, results, ResultCache(root=root, enabled=True)
+    )
+
+
 def test_timeout_ends_a_slow_compile_and_stores_nothing(tmp_path, monkeypatch):
     real = jobs_mod.compile_loop
 

@@ -30,7 +30,7 @@ def good_kernel(m2):
 
 def tamper(kernel, iid, **changes):
     ops = dict(kernel.ops)
-    ops[iid] = dataclasses.replace(ops[iid], **changes)
+    ops[iid] = ops[iid]._replace(**changes)
     return dataclasses.replace(kernel, ops=ops)
 
 
@@ -58,7 +58,7 @@ class TestVerifier:
         kernel = schedule(graph, m2, ii=2)
         # Force all three INT ops (2 units) into the same modulo slot.
         ops = {
-            iid: dataclasses.replace(op, start=0)
+            iid: op._replace(start=0)
             for iid, op in kernel.ops.items()
         }
         bad = dataclasses.replace(kernel, ops=ops)
@@ -87,7 +87,7 @@ class TestVerifier:
         # Put both transfers on bus 0 at the same slot.
         ops = dict(kernel.ops)
         for op in copies:
-            ops[op.instance.iid] = dataclasses.replace(op, start=20, bus=0)
+            ops[op.instance.iid] = op._replace(start=20, bus=0)
         bad = dataclasses.replace(kernel, ops=ops)
         with pytest.raises(VerificationError):
             verify_kernel(bad)

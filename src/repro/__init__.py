@@ -44,7 +44,7 @@ from repro.pipeline import (
     run_pass_pipeline,
     scheme_names,
 )
-from repro.schedule import Kernel, build_placed_graph, schedule
+from repro.schedule import Kernel, build_placed_graph
 from repro.sim import SimResult, simulate, verify_kernel
 from repro.workloads import Loop
 
@@ -72,7 +72,6 @@ __all__ = [
     "scheme_names",
     "Kernel",
     "build_placed_graph",
-    "schedule",
     "SimResult",
     "simulate",
     "verify_kernel",

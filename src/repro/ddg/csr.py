@@ -19,6 +19,15 @@ Invariants the rest of the compiler relies on:
 * **Views are cached per graph** keyed on :attr:`Ddg.version`, so
   mutating a graph invalidates its view; the cache is weak, so views
   die with their graphs.
+* **A relaxation stops at its first fixpoint pass.** An edge is *late*
+  when some out-edge of its destination comes at or before it in edge
+  order. Raising a destination through an edge that is not late cannot
+  unsettle an edge already relaxed in the same pass, so a pass in which
+  no late edge raised its destination ends at a fixpoint and
+  :func:`has_positive_cycle` and :func:`relax_length` stop there,
+  without the confirming pass. Every pass they do run is the same
+  sweep as before, so partial values under an exhausted budget are
+  unchanged.
 
 Every relaxation kernel call adds one to the ``kernels.python_calls``
 counter of the current registry
@@ -49,9 +58,13 @@ class CsrView:
 
     Node arrays are indexed by *position* (0..n-1, ascending uid);
     ``uids``/``index`` translate to and from graph uids. Edge arrays
-    are parallel and keep ``ddg.edges()`` order; ``reg_out``/``reg_in``
-    are CSR adjacency lists of REGISTER-edge neighbours only (the ones
-    partitioning cares about), as node positions.
+    are parallel and keep ``ddg.edges()`` order; ``edge_late`` holds one
+    byte per edge, 1 when the edge is late (see the module docstring).
+    ``reg_out``/``reg_in`` are CSR adjacency lists of REGISTER-edge
+    neighbours only (the ones partitioning cares about), as node
+    positions, and ``reg_out_edge``/``reg_in_edge`` give the edge index
+    of each entry. A :class:`Ddg` holds at most one edge per (source,
+    destination, kind), so no neighbour appears twice in one list.
     """
 
     uids: tuple[int, ...]
@@ -64,10 +77,13 @@ class CsrView:
     edge_latency: tuple[int, ...]
     edge_distance: tuple[int, ...]
     edge_is_register: tuple[bool, ...]
+    edge_late: bytes
     reg_out_offsets: tuple[int, ...]
     reg_out: tuple[int, ...]
+    reg_out_edge: tuple[int, ...]
     reg_in_offsets: tuple[int, ...]
     reg_in: tuple[int, ...]
+    reg_in_edge: tuple[int, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -102,9 +118,9 @@ def _build(ddg: Ddg) -> CsrView:
     edge_latency: list[int] = []
     edge_distance: list[int] = []
     edge_is_register: list[bool] = []
-    reg_out_lists: list[list[int]] = [[] for _ in uids]
-    reg_in_lists: list[list[int]] = [[] for _ in uids]
-    for edge in ddg.edges():
+    reg_out_lists: list[list[tuple[int, int]]] = [[] for _ in uids]
+    reg_in_lists: list[list[tuple[int, int]]] = [[] for _ in uids]
+    for number, edge in enumerate(ddg.edges()):
         src, dst = index[edge.src], index[edge.dst]
         edge_src.append(src)
         edge_dst.append(dst)
@@ -113,19 +129,33 @@ def _build(ddg: Ddg) -> CsrView:
         register = edge.kind is EdgeKind.REGISTER
         edge_is_register.append(register)
         if register:
-            reg_out_lists[src].append(dst)
-            reg_in_lists[dst].append(src)
+            reg_out_lists[src].append((dst, number))
+            reg_in_lists[dst].append((src, number))
 
-    def pack(lists: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    first_out = [len(edge_src)] * len(uids)
+    for number, src in enumerate(edge_src):
+        if first_out[src] > number:
+            first_out[src] = number
+    edge_late = bytes(
+        first_out[dst] <= number for number, dst in enumerate(edge_dst)
+    )
+
+    def pack(
+        lists: list[list[tuple[int, int]]],
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         offsets = [0]
-        flat: list[int] = []
+        flat: list[tuple[int, int]] = []
         for entries in lists:
             flat.extend(entries)
             offsets.append(len(flat))
-        return tuple(offsets), tuple(flat)
+        return (
+            tuple(offsets),
+            tuple(neighbour for neighbour, _ in flat),
+            tuple(number for _, number in flat),
+        )
 
-    reg_out_offsets, reg_out = pack(reg_out_lists)
-    reg_in_offsets, reg_in = pack(reg_in_lists)
+    reg_out_offsets, reg_out, reg_out_edge = pack(reg_out_lists)
+    reg_in_offsets, reg_in, reg_in_edge = pack(reg_in_lists)
     return CsrView(
         uids=uids,
         index=index,
@@ -137,10 +167,13 @@ def _build(ddg: Ddg) -> CsrView:
         edge_latency=tuple(edge_latency),
         edge_distance=tuple(edge_distance),
         edge_is_register=tuple(edge_is_register),
+        edge_late=edge_late,
         reg_out_offsets=reg_out_offsets,
         reg_out=reg_out,
+        reg_out_edge=reg_out_edge,
         reg_in_offsets=reg_in_offsets,
         reg_in=reg_in,
+        reg_in_edge=reg_in_edge,
     )
 
 
@@ -200,7 +233,8 @@ def has_positive_cycle(csr: CsrView, ii: int) -> bool:
 
     If longest-path distances keep improving after ``n`` rounds, some
     dependence cycle has positive weight and the II violates a
-    recurrence.
+    recurrence. Without one the relaxation reaches its fixpoint within
+    ``n - 1`` passes, and stops at the first pass that ends there.
     """
     _count_call()
     n = csr.n_nodes
@@ -208,15 +242,16 @@ def has_positive_cycle(csr: CsrView, ii: int) -> bool:
         return False
     dist = [0] * n
     weights = edge_weights_at(csr, ii)
-    srcs, dsts = csr.edge_src, csr.edge_dst
+    srcs, dsts, lates = csr.edge_src, csr.edge_dst, csr.edge_late
     for _ in range(n):
-        changed = False
-        for src, dst, weight in zip(srcs, dsts, weights):
+        again = False
+        for src, dst, weight, late in zip(srcs, dsts, weights, lates):
             bound = dist[src] + weight
             if bound > dist[dst]:
                 dist[dst] = bound
-                changed = True
-        if not changed:
+                if late:
+                    again = True
+        if not again:
             return False
     return True
 
@@ -273,9 +308,8 @@ def penalized_length(
     same pessimistic-but-deterministic estimate as the historical
     dict-based implementation, because edges relax in identical order.
     """
-    _count_call()
-    n = csr.n_nodes
-    if n == 0:
+    if csr.n_nodes == 0:
+        _count_call()
         return 0
     base = edge_weights_at(csr, ii)
     if bus_latency:
@@ -285,7 +319,7 @@ def penalized_length(
                 weights[edge] += bus_latency
     else:
         weights = base  # shared cache entry; the relax loop never mutates it
-    return _relax_length(csr, weights, rounds)
+    return relax_length(csr, weights, rounds)
 
 
 def _register_edge_triples(csr: CsrView) -> list[tuple[int, int, int]]:
@@ -306,45 +340,27 @@ def _register_edge_triples(csr: CsrView) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _relax_length(csr: CsrView, weights: list[int], rounds: int) -> int:
-    """Sequential longest path over caller-built weights, as a length."""
+def relax_length(csr: CsrView, weights: list[int], rounds: int) -> int:
+    """Sequential longest path over caller-built weights, as a length.
+
+    The critical path ``max(start + latency)`` after at most ``rounds``
+    passes in edge order, stopping at the first pass that ends at a
+    fixpoint. ``csr`` must have at least one node.
+    """
+    _count_call()
     start = [0] * csr.n_nodes
-    srcs, dsts = csr.edge_src, csr.edge_dst
+    srcs, dsts, lates = csr.edge_src, csr.edge_dst, csr.edge_late
     for _ in range(rounds):
-        changed = False
-        for src, dst, weight in zip(srcs, dsts, weights):
+        again = False
+        for src, dst, weight, late in zip(srcs, dsts, weights, lates):
             bound = start[src] + weight
             if bound > start[dst]:
                 start[dst] = bound
-                changed = True
-        if not changed:
+                if late:
+                    again = True
+        if not again:
             break
     return max(map(operator.add, start, csr.latency))
-
-
-def replicated_edge_weights(
-    csr: CsrView,
-    cluster: list[int],
-    extra: "tuple[frozenset[int], ...] | list[set[int]]",
-    bus_latency: int,
-    ii: int,
-) -> list[int]:
-    """Per-edge weights where a replicated producer forgives the bus.
-
-    A register edge (u, v) pays the bus penalty only when the consumer's
-    home cluster holds no instance of the producer — neither u's home
-    nor any cluster in ``extra[u]``. With every ``extra`` set empty this
-    is exactly the :func:`penalized_length` weight rule.
-    """
-    base = edge_weights_at(csr, ii)
-    if not bus_latency:
-        return base  # shared cache entry; callers must not mutate it
-    weights = base.copy()
-    for edge, src, dst in _register_edge_triples(csr):
-        dst_cluster = cluster[dst]
-        if dst_cluster != cluster[src] and dst_cluster not in extra[src]:
-            weights[edge] += bus_latency
-    return weights
 
 
 def penalized_length_replicated(
@@ -357,16 +373,23 @@ def penalized_length_replicated(
 ) -> int:
     """Replica-aware bus-penalized critical path.
 
-    Like :func:`penalized_length`, but a cross-cluster register edge is
-    free when the producer has an instance (original or replica) in the
-    consumer's home cluster. Determinism mirrors the plain kernel: the
-    relaxation visits edges in ``ddg.edges()`` order.
+    Like :func:`penalized_length`, but a register edge (u, v) pays the
+    bus only when v's home cluster holds no instance of u — neither u's
+    home nor any cluster in ``extra[u]``. With every ``extra`` set empty
+    this is exactly the :func:`penalized_length` rule. Determinism
+    mirrors the plain kernel: the relaxation visits edges in
+    ``ddg.edges()`` order.
     """
     if csr.n_nodes == 0:
         return 0
-    _count_call()
-    weights = replicated_edge_weights(csr, cluster, extra, bus_latency, ii)
-    return _relax_length(csr, weights, rounds)
+    weights = edge_weights_at(csr, ii)
+    if bus_latency:
+        weights = weights.copy()
+        for edge, src, dst in _register_edge_triples(csr):
+            dst_cluster = cluster[dst]
+            if dst_cluster != cluster[src] and dst_cluster not in extra[src]:
+                weights[edge] += bus_latency
+    return relax_length(csr, weights, rounds)
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +405,10 @@ class ReplicaView:
     materializes it*: the overlay never clones nodes into the
     :class:`~repro.ddg.graph.Ddg` (so ``Ddg.version`` stays put and
     every per-version kernel memo survives), and instead answers the
-    partition-level questions — per-cluster loads, communications, the
-    penalized critical path — as if an extra instance of each node
-    existed in every cluster of its ``extra`` set.
+    partition-level questions — per-cluster loads and communications —
+    as if an extra instance of each node existed in every cluster of its
+    ``extra`` set (:func:`penalized_length_replicated` answers the
+    critical path from the same sets).
 
     ``extra`` is indexed by node *position* and never contains a node's
     home cluster (homes live in the assignment the caller passes per
@@ -453,11 +477,3 @@ class ReplicaView:
                     count += 1
                     break
         return count
-
-    def penalized_length(
-        self, cluster: list[int], bus_latency: int, ii: int, rounds: int
-    ) -> int:
-        """Replica-aware critical path at a candidate II."""
-        return penalized_length_replicated(
-            self.base, cluster, self.extra, bus_latency, ii, rounds
-        )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 
@@ -75,8 +76,14 @@ from repro.sim.verifier import VerificationError, verify_kernel
 ENGINE_SCHEMA_VERSION = 12
 
 
+@functools.lru_cache(maxsize=64)
 def resolve_machine(name: str) -> MachineConfig:
-    """Parse a machine config name, accepting ``"unified"``."""
+    """Parse a machine config name, accepting ``"unified"``.
+
+    Memoized per name: a :class:`MachineConfig` is frozen, and every
+    cache hit names its machine. A bad name is not cached, so it raises
+    :class:`~repro.machine.config.ConfigError` on every call.
+    """
     if name == "unified":
         return unified_machine()
     return parse_config(name)

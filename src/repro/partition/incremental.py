@@ -9,21 +9,32 @@ communication recount — on a freshly copied
 that with a :class:`MoveEvaluator` that owns mutable state and updates
 it in O(degree) per :meth:`~MoveEvaluator.apply`/:meth:`~MoveEvaluator.undo`:
 
-* per-cluster, per-FU-kind load tables and totals;
-* per-cluster value-producer counts (the register floor);
+* per-cluster, per-FU-kind load tables and totals, each (cluster, kind)
+  resource bound ``ceil(load / units)``, a count of bounds by value and
+  their maximum (the resource II);
+* per-cluster value-producer counts (the register floor) and the
+  number of clusters over their floor;
 * per-node counts of *foreign* register out-edges, so the partition's
   communication count is a running integer, not an edge scan;
 * per-node counts of foreign register neighbours, so the boundary (the
-  set of profitable move candidates) is *maintained*, not recomputed.
+  set of profitable move candidates) is *maintained*, not recomputed;
+* per-edge bus penalties (the bus latency on a register edge that
+  crosses clusters, else 0), so a length is one vector add plus the
+  relaxation.
 
 Scoring exploits the pseudo-schedule's lexicographic key: the cheap
 prefix (capacity violation, II estimate, communication count) is O(1)
 from the maintained state, and the expensive ``length_estimate`` — the
 bus-penalized critical path — is only computed when the prefix ties,
-via the CSR relaxation kernel (:func:`repro.ddg.csr.penalized_length`).
-Every quantity matches the from-scratch ``pseudo_schedule`` bit for
-bit (the equivalence property test drives thousands of random moves to
-hold this line), so refinement decisions are unchanged — only cheaper.
+via the CSR relaxation kernel (:func:`repro.ddg.csr.relax_length`).
+:meth:`~MoveEvaluator.prefix`, :meth:`~MoveEvaluator.length` and
+:meth:`~MoveEvaluator.imbalance` also score a *trial* plain move — the
+state moving one node would make — without making it: the prefix in
+O(degree) from the maintained tables, the length from the maintained
+penalties with the moved node's edges re-priced. Every quantity matches
+the from-scratch ``pseudo_schedule`` bit for bit (the equivalence
+property test drives thousands of random moves to hold this line), so
+refinement decisions are unchanged — only cheaper.
 
 Moves come in two kinds, both O(degree) to apply, undo and redo:
 
@@ -47,14 +58,10 @@ bit-identical move streams.
 from __future__ import annotations
 
 import dataclasses
-import math
+import operator
+from collections.abc import Iterator
 
-from repro.ddg.csr import (
-    FU_KINDS,
-    csr_view,
-    penalized_length,
-    penalized_length_replicated,
-)
+from repro.ddg.csr import FU_KINDS, csr_view, edge_weights_at, relax_length
 from repro.machine.config import MachineConfig
 from repro.obs.metrics import current_registry
 from repro.partition.partition import Partition
@@ -96,10 +103,10 @@ class MoveEvaluator:
 
     It counts its work under ``partition.`` in the current registry
     (:func:`~repro.obs.metrics.current_registry`): ``moves_applied`` and
-    ``moves_reverted`` over both move kinds, trials included
-    (:meth:`redo` counts nothing); ``moves.plain`` and
-    ``moves.replicate`` per kind; ``lengths_computed`` for relaxations
-    run and ``lengths_memoized`` for length asks the memo answered.
+    ``moves_reverted`` over both move kinds (:meth:`redo` and trial
+    scoring count nothing); ``moves.plain`` and ``moves.replicate`` per
+    kind; ``lengths_computed`` for relaxations run and
+    ``lengths_memoized`` for length asks the memo answered.
     """
 
     def __init__(
@@ -143,39 +150,57 @@ class MoveEvaluator:
             self._totals[home] += 1
             if not csr.is_store[position]:
                 self._producers[home] += 1
+        # Resource bounds ceil(load / units) per (cluster, kind), how many
+        # pairs sit at each bound value, and the largest: the resource II
+        # is max(1, _max_bound). A load moves by one, so a bound does too.
+        self._bound = [
+            [-(-count // units) if count else 0 for count, units in zip(loads, row)]
+            for loads, row in zip(self._load, self._units)
+        ]
+        self._bound_count = [0] * (csr.n_nodes + 2)
+        for row in self._bound:
+            for bound in row:
+                self._bound_count[bound] += 1
+        self._max_bound = max(max(row) for row in self._bound)
+        self._over_floor = sum(
+            producers > registers
+            for producers, registers in zip(self._producers, self._registers)
+        )
 
+        # Foreign register out-edges and neighbours per node, and the bus
+        # latency on every register edge that crosses clusters (0 on the
+        # rest, memory edges included).
+        bus = self._bus_latency
         self._foreign_out = [0] * csr.n_nodes
         self._foreign_adj = [0] * csr.n_nodes
-        for position in range(csr.n_nodes):
-            home = cluster[position]
-            foreign_out = sum(
-                1
-                for consumer in csr.reg_out_neighbours(position)
-                if cluster[consumer] != home
-            )
-            self._foreign_out[position] = foreign_out
-            self._foreign_adj[position] = foreign_out + sum(
-                1
-                for producer in csr.reg_in_neighbours(position)
-                if cluster[producer] != home
-            )
+        self._penalty = [0] * csr.n_edges
+        for edge, src, dst, register in zip(
+            range(csr.n_edges), csr.edge_src, csr.edge_dst, csr.edge_is_register
+        ):
+            if register and cluster[src] != cluster[dst]:
+                self._foreign_out[src] += 1
+                self._foreign_adj[src] += 1
+                self._foreign_adj[dst] += 1
+                self._penalty[edge] = bus
         self._n_coms = sum(1 for count in self._foreign_out if count)
         self._boundary = {
             position
             for position, count in enumerate(self._foreign_adj)
             if count
         }
-        # (ii_estimate, assignment[, replicas]) -> penalized length.
+        # (ii_estimate, assignment[, replica pairs]) -> penalized length.
         # Refinement revisits assignments constantly (candidate scans
-        # re-score the state they started from, undos return to scored
-        # states), and the length is a pure function of the key, so the
-        # memo answer is bit-identical to re-running the kernel.
+        # re-score the state they started from, and a trial is keyed as
+        # the state it would make), and the length is a pure function of
+        # the key, so the memo answer is bit-identical to re-running the
+        # kernel.
         self._length_memo: dict[tuple, int] = {}
 
         # Replica tables, built lazily by the first replicate move so
         # plain-move-only evaluators keep the exact historical path:
         #   _extra[p]          clusters holding a replica of p (never
         #                      the home cluster);
+        #   _pairs             the live (p, cluster) replica pairs;
         #   _consumer_count[p] cluster -> register out-edges of p whose
         #                      consumer has an *instance* there (homes
         #                      and replicas alike);
@@ -184,6 +209,7 @@ class MoveEvaluator:
         #   _n_coms_replica    producers with _uncovered > 0 — the
         #                      replica-aware communication count.
         self._extra: list[set[int]] | None = None
+        self._pairs: set[tuple[int, int]] = set()
         self._consumer_count: list[dict[int, int]] = []
         self._uncovered: list[int] = []
         self._n_coms_replica = 0
@@ -205,18 +231,14 @@ class MoveEvaluator:
         instances into one, which placement rejects.
         """
         csr = self._csr
-        cluster = self._cluster
         position = csr.index[uid]
-        home = cluster[position]
-        clusters = {
-            cluster[neighbour]
-            for neighbour in csr.reg_out_neighbours(position)
-        }
-        clusters.update(
-            cluster[neighbour]
-            for neighbour in csr.reg_in_neighbours(position)
+        out_offsets, in_offsets = csr.reg_out_offsets, csr.reg_in_offsets
+        neighbours = (
+            csr.reg_out[out_offsets[position] : out_offsets[position + 1]]
+            + csr.reg_in[in_offsets[position] : in_offsets[position + 1]]
         )
-        clusters.discard(home)
+        clusters = set(map(self._cluster.__getitem__, neighbours))
+        clusters.discard(self._cluster[position])
         if self._extra is not None:
             clusters.difference_update(self._extra[position])
         return sorted(clusters)
@@ -289,26 +311,50 @@ class MoveEvaluator:
         elif count > 0 and count + delta == 0:
             self._n_coms -= 1
 
+    def _bump_load(self, cluster: int, kind: int, delta: int) -> None:
+        """Add ``delta`` instances of ``kind`` to ``cluster``'s load."""
+        loads = self._load[cluster]
+        count = loads[kind] + delta
+        loads[kind] = count
+        bounds = self._bound[cluster]
+        old = bounds[kind]
+        new = -(-count // self._units[cluster][kind]) if count else 0
+        if new != old:
+            bounds[kind] = new
+            histogram = self._bound_count
+            histogram[old] -= 1
+            histogram[new] += 1
+            if new > self._max_bound:
+                self._max_bound = new
+            elif old == self._max_bound and not histogram[old]:
+                self._max_bound = new
+        self._totals[cluster] += delta
+
+    def _bump_producers(self, cluster: int, delta: int) -> None:
+        registers = self._registers[cluster]
+        count = self._producers[cluster]
+        self._producers[cluster] = count + delta
+        self._over_floor += (count + delta > registers) - (count > registers)
+
     def _shift(self, position: int, to: int) -> None:
         csr = self._csr
         cluster = self._cluster
         source = cluster[position]
         if source == to:
             return
-        if self._extra is not None and to in self._extra[position]:
+        extra = self._extra
+        if extra is not None and to in extra[position]:
             raise ValueError(
                 f"node {csr.uids[position]} already has a replica in "
                 f"cluster {to}; de-replicate before moving its home there"
             )
 
         kind = csr.fu_ord[position]
-        self._load[source][kind] -= 1
-        self._load[to][kind] += 1
-        self._totals[source] -= 1
-        self._totals[to] += 1
+        self._bump_load(source, kind, -1)
+        self._bump_load(to, kind, 1)
         if not csr.is_store[position]:
-            self._producers[source] -= 1
-            self._producers[to] += 1
+            self._bump_producers(source, -1)
+            self._bump_producers(to, 1)
 
         own_adjacency_delta = 0
         own_out_delta = 0
@@ -330,12 +376,13 @@ class MoveEvaluator:
                 own_adjacency_delta += delta
                 self._bump_adjacency(producer, delta)
                 self._bump_foreign_out(producer, delta)
+        self._reprice(position, to)
         if own_out_delta:
             self._bump_foreign_out(position, own_out_delta)
         if own_adjacency_delta:
             self._bump_adjacency(position, own_adjacency_delta)
         cluster[position] = to
-        if self._extra is not None:
+        if extra is not None:
             self._presence_moved(position, source, to)
 
     # ------------------------------------------------------------------
@@ -345,7 +392,7 @@ class MoveEvaluator:
     @property
     def has_replicas(self) -> bool:
         """True when any replica instance is currently live."""
-        return self._extra is not None and any(self._extra)
+        return bool(self._pairs)
 
     def replicas(self) -> dict[int, frozenset[int]]:
         """Live replica grants, uid -> clusters (empty sets omitted)."""
@@ -444,11 +491,11 @@ class MoveEvaluator:
     def _grow_replica(self, position: int, cluster: int) -> None:
         csr = self._csr
         self._extra[position].add(cluster)
-        kind = csr.fu_ord[position]
-        self._load[cluster][kind] += 1
-        self._totals[cluster] += 1
+        self._pairs.add((position, cluster))
+        self._bump_load(cluster, csr.fu_ord[position], 1)
         if not csr.is_store[position]:
-            self._producers[cluster] += 1
+            self._bump_producers(cluster, 1)
+        self._reprice(position, self._cluster[position])
         parents = csr.reg_in_neighbours(position)
         for producer in parents:
             counts = self._consumer_count[producer]
@@ -461,11 +508,11 @@ class MoveEvaluator:
     def _shrink_replica(self, position: int, cluster: int) -> None:
         csr = self._csr
         self._extra[position].discard(cluster)
-        kind = csr.fu_ord[position]
-        self._load[cluster][kind] -= 1
-        self._totals[cluster] -= 1
+        self._pairs.discard((position, cluster))
+        self._bump_load(cluster, csr.fu_ord[position], -1)
         if not csr.is_store[position]:
-            self._producers[cluster] -= 1
+            self._bump_producers(cluster, -1)
+        self._reprice(position, self._cluster[position])
         parents = csr.reg_in_neighbours(position)
         for producer in parents:
             self._consumer_count[producer][cluster] -= 1
@@ -476,6 +523,10 @@ class MoveEvaluator:
 
     # ------------------------------------------------------------------
     # Scoring (lexicographic key, expensive length computed on demand)
+    #
+    # ``prefix``, ``length`` and ``imbalance`` score the current state,
+    # or, given ``uid`` and ``cluster``, the state the plain move of
+    # ``uid`` to ``cluster`` would make, without making it.
     # ------------------------------------------------------------------
 
     def nof_coms(self) -> int:
@@ -489,93 +540,240 @@ class MoveEvaluator:
             return self._n_coms_replica
         return self._n_coms
 
-    def _min_resource_ii(self) -> int:
-        ii = 1
-        for cluster_loads, cluster_units in zip(self._load, self._units):
-            for count, units in zip(cluster_loads, cluster_units):
-                if count:
-                    bound = -(-count // units)
-                    if bound > ii:
-                        ii = bound
-        return ii
-
-    def _register_floor_broken(self) -> bool:
-        return any(
-            producers > registers
-            for producers, registers in zip(self._producers, self._registers)
-        )
-
-    def prefix(self) -> tuple[bool, int, int]:
-        """The cheap key prefix (capacity violation, II estimate, coms).
-
-        O(clusters · kinds); never touches the relaxation kernel.
-        """
-        ii_res = self._min_resource_ii()
-        coms = self.nof_coms()
+    def _key_prefix(
+        self, max_bound: int, coms: int, over_floor: int
+    ) -> tuple[bool, int, int]:
+        ii_res = max_bound if max_bound > 1 else 1
         if self._bus_count:
             ii_bus = (
-                self._bus_latency * math.ceil(coms / self._bus_count)
-                if coms
-                else 1
+                self._bus_latency * -(-coms // self._bus_count) if coms else 1
             )
             stranded_coms = False
         else:
             ii_bus = 1
             stranded_coms = coms > 0
-        ii_estimate = max(self._ii, ii_res, ii_bus)
-        violation = (
-            ii_res > self._ii or self._register_floor_broken() or stranded_coms
+        ii = self._ii
+        violation = ii_res > ii or over_floor > 0 or stranded_coms
+        return (violation, max(ii, ii_res, ii_bus), coms)
+
+    def prefix(
+        self, uid: int | None = None, cluster: int | None = None
+    ) -> tuple[bool, int, int]:
+        """The cheap key prefix (capacity violation, II estimate, coms).
+
+        O(1) for the current state and O(degree) for a trial move;
+        never touches the relaxation kernel.
+        """
+        if uid is None:
+            return self._key_prefix(
+                self._max_bound, self.nof_coms(), self._over_floor
+            )
+        csr = self._csr
+        homes = self._cluster
+        position = csr.index[uid]
+        source = homes[position]
+        if cluster == source:
+            return self.prefix()
+        extra = self._extra
+        if extra is not None and cluster in extra[position]:
+            raise ValueError(
+                f"node {uid} already has a replica in cluster {cluster}"
+            )
+
+        # Resource bounds: only (source, kind) and (cluster, kind) move.
+        kind = csr.fu_ord[position]
+        bound_source = self._bound[source][kind]
+        bound_target = self._bound[cluster][kind]
+        left = self._load[source][kind] - 1
+        new_source = -(-left // self._units[source][kind]) if left else 0
+        new_target = -(
+            -(self._load[cluster][kind] + 1) // self._units[cluster][kind]
         )
-        return (violation, ii_estimate, coms)
+        top = self._max_bound
+        if new_target > top:
+            max_bound = new_target
+        else:
+            at_top = (
+                self._bound_count[top]
+                - (bound_source == top)
+                + (new_source == top)
+                - (bound_target == top)
+                + (new_target == top)
+            )
+            max_bound = top if at_top else top - 1
 
-    def imbalance(self) -> int:
+        over_floor = self._over_floor
+        if not csr.is_store[position]:
+            producers = self._producers
+            registers = self._registers
+            count = producers[source]
+            over_floor += (count - 1 > registers[source]) - (
+                count > registers[source]
+            )
+            count = producers[cluster]
+            over_floor += (count + 1 > registers[cluster]) - (
+                count > registers[cluster]
+            )
+
+        # With no replica live the replica-aware count equals the plain
+        # one, which the foreign out-edge counts give directly.
+        if self._pairs:
+            coms = self._trial_coms_replicated(position, source, cluster)
+        else:
+            coms = self._trial_coms(position, source, cluster)
+        return self._key_prefix(max_bound, coms, over_floor)
+
+    def _trial_coms(self, position: int, source: int, target: int) -> int:
+        """Communications after a trial move, no replicas live.
+
+        A producer feeds the node through at most one register edge (see
+        :class:`~repro.ddg.csr.CsrView`), so a parent's foreign count
+        moves by exactly one.
+        """
+        csr = self._csr
+        homes = self._cluster
+        foreign_out = self._foreign_out
+        coms = self._n_coms
+        lo, hi = csr.reg_out_offsets[position], csr.reg_out_offsets[position + 1]
+        crosses = False
+        for consumer in csr.reg_out[lo:hi]:
+            if homes[consumer] != target and consumer != position:
+                crosses = True
+                break
+        coms += crosses - (foreign_out[position] > 0)
+        lo, hi = csr.reg_in_offsets[position], csr.reg_in_offsets[position + 1]
+        for producer in csr.reg_in[lo:hi]:
+            home = homes[producer]
+            if home == source:
+                if not foreign_out[producer] and producer != position:
+                    coms += 1
+            elif home == target:
+                if foreign_out[producer] == 1:
+                    coms -= 1
+        return coms
+
+    def _trial_coms_replicated(
+        self, position: int, source: int, target: int
+    ) -> int:
+        """Replica-aware communications after a trial home move.
+
+        The move changes the uncovered count of the node (its home, and
+        with a self loop its own consumer count) and of each parent
+        (one consumer instance leaves ``source`` for ``target``).
+        """
+        homes = self._cluster
+        extra = self._extra
+        uncovered = self._uncovered
+        consumer_count = self._consumer_count
+        coms = self._n_coms_replica
+        self_loop = 0
+        for producer in self._csr.reg_in_neighbours(position):
+            if producer == position:
+                self_loop = 1
+                continue
+            counts = consumer_count[producer]
+            home = homes[producer]
+            present = extra[producer]
+            before = uncovered[producer]
+            after = before
+            if source != home and source not in present and counts[source] == 1:
+                after -= 1
+            if target != home and target not in present and not counts.get(target):
+                after += 1
+            coms += (after > 0) - (before > 0)
+        counts = consumer_count[position]
+        before = uncovered[position]
+        after = (
+            before
+            - (counts.get(target, 0) > 0)
+            + (counts.get(source, 0) - self_loop > 0)
+        )
+        return coms + (after > 0) - (before > 0)
+
+    def imbalance(self, uid: int | None = None, cluster: int | None = None) -> int:
         """Max minus min total load over clusters."""
-        return (max(self._totals) - min(self._totals)) if self._totals else 0
+        totals = self._totals
+        if not totals:
+            return 0
+        if uid is not None:
+            totals = totals.copy()
+            totals[self._cluster[self._csr.index[uid]]] -= 1
+            totals[cluster] += 1
+        return max(totals) - min(totals)
 
-    def length(self) -> int:
-        """Bus-penalized critical path at the current II estimate.
+    def length(self, uid: int | None = None, cluster: int | None = None) -> int:
+        """Bus-penalized critical path at the II estimate.
 
         The expensive O(V·E) part of the score; callers should only ask
         when the cheap prefix ties (:func:`repro.partition.refine.refine`
         does, and counts the asks it skipped as
-        ``partition.lengths_skipped``).
+        ``partition.lengths_skipped``). A trial move's length is
+        memoized under the key of the state the move would make, so the
+        memo answers the same asks as when the move was applied first.
         """
-        if self._csr.n_nodes == 0:
+        csr = self._csr
+        if csr.n_nodes == 0:
             self._lengths_computed.inc()
             return 0
-        ii_estimate = self.prefix()[1]
-        if self._extra is None:
-            key: tuple = (ii_estimate, tuple(self._cluster))
+        ii_estimate = self.prefix(uid, cluster)[1]
+        homes = self._cluster
+        if uid is None:
+            assignment = tuple(homes)
         else:
-            key = (
-                ii_estimate,
-                tuple(self._cluster),
-                tuple(frozenset(clusters) for clusters in self._extra),
-            )
+            position = csr.index[uid]
+            source = homes[position]
+            homes[position] = cluster
+            assignment = tuple(homes)
+            homes[position] = source
+        if self._extra is None:
+            key: tuple = (ii_estimate, assignment)
+        else:
+            key = (ii_estimate, assignment, frozenset(self._pairs))
         cached = self._length_memo.get(key)
         if cached is not None:
             self._lengths_memoized.inc()
             return cached
         self._lengths_computed.inc()
-        if self._extra is None:
-            value = penalized_length(
-                self._csr,
-                self._cluster,
-                self._bus_latency,
-                ii_estimate,
-                self._rounds,
-            )
-        else:
-            value = penalized_length_replicated(
-                self._csr,
-                self._cluster,
-                self._extra,
-                self._bus_latency,
-                ii_estimate,
-                self._rounds,
-            )
+        base = edge_weights_at(csr, ii_estimate)
+        weights = list(map(operator.add, base, self._penalty))
+        if uid is not None and cluster != source:
+            for edge, price in self._incident_penalties(position, cluster):
+                weights[edge] = base[edge] + price
+        value = relax_length(csr, weights, self._rounds)
         self._length_memo[key] = value
         return value
+
+    def _reprice(self, position: int, home: int) -> None:
+        """Refresh the penalties of ``position``'s edges, its home at ``home``."""
+        penalty = self._penalty
+        for edge, price in self._incident_penalties(position, home):
+            penalty[edge] = price
+
+    def _incident_penalties(
+        self, position: int, home: int
+    ) -> Iterator[tuple[int, int]]:
+        """(edge, penalty) of ``position``'s register edges, its home at ``home``.
+
+        An edge pays the bus unless the consumer's home holds an
+        instance of the producer; self loops never pay.
+        """
+        csr = self._csr
+        homes = self._cluster
+        extra = self._extra
+        bus = self._bus_latency
+        own_extra = () if extra is None else extra[position]
+        lo, hi = csr.reg_out_offsets[position], csr.reg_out_offsets[position + 1]
+        for consumer, edge in zip(csr.reg_out[lo:hi], csr.reg_out_edge[lo:hi]):
+            if consumer != position:
+                there = homes[consumer]
+                yield edge, (bus if there != home and there not in own_extra else 0)
+        lo, hi = csr.reg_in_offsets[position], csr.reg_in_offsets[position + 1]
+        for producer, edge in zip(csr.reg_in[lo:hi], csr.reg_in_edge[lo:hi]):
+            if producer != position:
+                crosses = homes[producer] != home and (
+                    extra is None or home not in extra[producer]
+                )
+                yield edge, (bus if crosses else 0)
 
     def pseudo(self) -> PseudoSchedule:
         """The full pseudo-schedule of the current state.

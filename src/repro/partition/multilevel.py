@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.ddg.analysis import analyze, rec_mii
+from repro.ddg.csr import FU_KINDS, csr_view
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
 from repro.machine.resources import FuKind
@@ -59,27 +60,6 @@ def _assign_macro_nodes(
     return assignment
 
 
-def _attachment(ddg: Ddg, partition: Partition, uid: int, cluster: int) -> int:
-    """Register neighbours of ``uid`` placed in ``cluster``."""
-    count = 0
-    for edge in ddg.out_edges(uid):
-        if partition.cluster_of(edge.dst) == cluster and edge.dst != uid:
-            count += 1
-    for edge in ddg.in_edges(uid):
-        if partition.cluster_of(edge.src) == cluster and edge.src != uid:
-            count += 1
-    return count
-
-
-def _producer_counts(partition: Partition) -> list[int]:
-    """Value-producing nodes per cluster (stores produce no value)."""
-    counts = [0] * partition.n_clusters
-    for uid, cluster in partition.assignment().items():
-        if not partition.ddg.node(uid).is_store:
-            counts[cluster] += 1
-    return counts
-
-
 def _repair_capacity(
     partition: Partition, machine: MachineConfig, ii: int
 ) -> Partition:
@@ -91,71 +71,101 @@ def _repair_capacity(
     increase can ever make MaxLive fit (each live value costs at least
     one register), so the partition itself must redistribute.
 
+    Each step fixes the first overflow found, (cluster, kind) slots
+    before register floors, both in cluster then kind order: the
+    offending node with the least *attachment* to its cluster — its
+    neighbours there over every edge kind, memory edges included, with
+    ties to the lowest uid — moves to the cluster with the most spare
+    room of that resource (ties to the lowest cluster id). The tables
+    are position-indexed lists; one :class:`Partition` is built at the
+    end, in the input's node order, and the input itself is returned
+    when nothing moved.
+
     Best effort: when the whole machine is saturated the overflow is
     unavoidable and the loop exits (the driver will raise the II or
     give up).
     """
     ddg = partition.ddg
+    csr = csr_view(ddg)
+    n_clusters = partition.n_clusters
+    clusters = range(n_clusters)
+    kinds = range(len(FU_KINDS))
+    home = [partition.cluster_of(uid) for uid in csr.uids]
+    slots = [
+        [machine.fu_count(cluster, kind) * ii for kind in FU_KINDS]
+        for cluster in clusters
+    ]
+    registers = [machine.registers(cluster) for cluster in clusters]
+    loads = [[0] * len(FU_KINDS) for _ in clusters]
+    producers = [0] * n_clusters
+    for position, cluster in enumerate(home):
+        loads[cluster][csr.fu_ord[position]] += 1
+        if not csr.is_store[position]:
+            producers[cluster] += 1
+    neighbours: list[list[int]] | None = None  # built on the first move
+    moved = False
 
-    def fu_overflow() -> tuple[int, FuKind] | None:
-        for cluster, loads in enumerate(partition.load_table()):
-            for kind, count in loads.items():
-                if count > machine.fu_count(cluster, kind) * ii:
+    def overflow() -> tuple[int, int | None] | None:
+        for cluster in clusters:
+            for kind in kinds:
+                if loads[cluster][kind] > slots[cluster][kind]:
                     return cluster, kind
+        for cluster in clusters:
+            if producers[cluster] > registers[cluster]:
+                return cluster, None
         return None
-
-    def register_overflow() -> int | None:
-        for cluster, producers in enumerate(_producer_counts(partition)):
-            if producers > machine.registers(cluster):
-                return cluster
-        return None
-
-    def move_from(cluster: int, kind: FuKind | None, spare_of) -> Partition | None:
-        spare, target = max(
-            (spare_of(c), -c) for c in machine.cluster_ids() if c != cluster
-        )
-        target = -target
-        if spare <= 0:
-            return None
-        movers = [
-            uid
-            for uid in partition.nodes_in(cluster)
-            if (kind is None and not ddg.node(uid).is_store)
-            or ddg.node(uid).fu_kind is kind
-        ]
-        if not movers:
-            return None
-        best = min(
-            movers,
-            key=lambda uid: (_attachment(ddg, partition, uid, cluster), uid),
-        )
-        return partition.with_move(best, target)
 
     for _ in range(2 * len(ddg)):
-        overflow = fu_overflow()
-        if overflow is not None:
-            cluster, kind = overflow
-            table = partition.load_table()
-            moved = move_from(
-                cluster,
-                kind,
-                lambda c: machine.fu_count(c, kind) * ii - table[c][kind],
+        found = overflow()
+        if found is None:
+            break
+        cluster, kind = found
+        if kind is None:
+            spare = [registers[c] - producers[c] for c in clusters]
+        else:
+            spare = [slots[c][kind] - loads[c][kind] for c in clusters]
+        room, target = max((spare[c], -c) for c in clusters if c != cluster)
+        target = -target
+        if room <= 0:
+            break
+        movers = [
+            position
+            for position in range(csr.n_nodes)
+            if home[position] == cluster
+            and (
+                not csr.is_store[position]
+                if kind is None
+                else csr.fu_ord[position] == kind
             )
-            if moved is None:
-                return partition
-            partition = moved
-            continue
-        reg_cluster = register_overflow()
-        if reg_cluster is None:
-            return partition
-        producers = _producer_counts(partition)
-        moved = move_from(
-            reg_cluster, None, lambda c: machine.registers(c) - producers[c]
+        ]
+        if not movers:
+            break
+        if neighbours is None:
+            neighbours = [[] for _ in range(csr.n_nodes)]
+            for src, dst in zip(csr.edge_src, csr.edge_dst):
+                if src != dst:
+                    neighbours[src].append(dst)
+                    neighbours[dst].append(src)
+        best = min(
+            movers,
+            key=lambda position: (
+                sum(1 for other in neighbours[position] if home[other] == cluster),
+                csr.uids[position],
+            ),
         )
-        if moved is None:
-            return partition
-        partition = moved
-    return partition
+        home[best] = target
+        loads[cluster][csr.fu_ord[best]] -= 1
+        loads[target][csr.fu_ord[best]] += 1
+        if not csr.is_store[best]:
+            producers[cluster] -= 1
+            producers[target] += 1
+        moved = True
+    if not moved:
+        return partition
+    assignment = {
+        uid: home[csr.index[uid]] for uid in partition.assignment()
+    }
+    return Partition(ddg, assignment, n_clusters)
 
 
 @dataclasses.dataclass
@@ -169,11 +179,17 @@ class MultilevelPartitioner:
         ddg: the loop being partitioned.
         machine: the target machine.
         levels: coarsening hierarchy, finest level first.
+        macro_assignment: node -> cluster of the coarsest level's
+            macro-node placement (cached beside ``levels``; it does not
+            depend on the II).
     """
 
     ddg: Ddg
     machine: MachineConfig
     levels: list[CoarseLevel] = dataclasses.field(default_factory=list)
+    macro_assignment: dict[int, int] | None = dataclasses.field(
+        default=None, init=False, repr=False
+    )
 
     def initial(self, ii: int) -> Partition:
         """Coarsen (cached) and produce the preliminary partition."""
@@ -184,8 +200,12 @@ class MultilevelPartitioner:
                 weights = edge_weights(self.ddg, analysis, self.machine.bus.latency)
                 self.levels = coarsen(self.ddg, weights, self.machine.n_clusters)
                 sp.set(levels=len(self.levels))
-        assignment = _assign_macro_nodes(self.ddg, self.levels[-1], self.machine)
-        return Partition(self.ddg, assignment, self.machine.n_clusters)
+            self.macro_assignment = None
+        if self.macro_assignment is None:
+            self.macro_assignment = _assign_macro_nodes(
+                self.ddg, self.levels[-1], self.machine
+            )
+        return Partition(self.ddg, self.macro_assignment, self.machine.n_clusters)
 
     def partition(self, ii: int, move_budget: int = 64) -> Partition:
         """:meth:`partition_replicating` with no replication budget."""

@@ -10,14 +10,15 @@ Move candidates are restricted to *boundary* nodes — nodes with at least
 one register neighbour in another cluster — because interior moves can
 only create communications, never remove them.
 
-Candidates are scored through :class:`~repro.partition.incremental.MoveEvaluator`:
-each trial move is an O(degree) state update instead of a partition copy
-plus a from-scratch pseudo-schedule, and the expensive critical-path
-length is only relaxed when the cheap lexicographic prefix (capacity,
-II estimate, communications) ties the incumbent — a comparison that is
-decision-equivalent to ordering the full
-:attr:`~repro.partition.pseudo.PseudoSchedule.key`, because the first
-differing component decides a lexicographic order.
+Candidates are scored through :class:`~repro.partition.incremental.MoveEvaluator`
+without being made: a plain trial's prefix (capacity, II estimate,
+communications) comes from the maintained tables in O(degree), and the
+expensive critical-path length is only relaxed when that prefix ties
+the incumbent — a comparison that is decision-equivalent to ordering
+the full :attr:`~repro.partition.pseudo.PseudoSchedule.key`, because
+the first differing component decides a lexicographic order. Only an
+accepted plain move is applied. Replicate trials are applied, scored
+and undone.
 
 There is one refinement loop, :func:`refine_replicating`; plain
 refinement is that loop with no replication budget, which makes the
@@ -87,7 +88,13 @@ def refine_replicating(
     ``refine_calls``, ``pseudo_evaluations`` per trial move,
     ``lengths_skipped`` per trial decided on the prefix alone,
     ``moves_accepted`` and the ``moves.*_accepted``/``*_rejected``
-    splits per kind, and the ``moves.replicas_surviving`` gauge.
+    splits per kind, and the ``moves.replicas_surviving`` gauge. A
+    rejected plain trial is never applied; it still counts as one
+    applied (``moves_applied``, ``moves.plain``) and one reverted move,
+    so that ``moves_applied`` counts every trial. ``moves_reverted`` no
+    longer counts the undo an apply-and-undo loop made to measure the
+    incumbent's length on its first prefix tie, except for replicate
+    trials, which still make it.
     """
     evaluator = MoveEvaluator(partition, machine, ii)
     best_prefix = evaluator.prefix()
@@ -100,31 +107,47 @@ def refine_replicating(
     plain_accepted = plain_rejected = 0
     replicate_accepted = replicate_rejected = 0
 
-    def consider(move: object) -> bool:
-        """Accept or undo one trial move under the shared lazy scoring."""
+    def consider(uid: int, cluster: int, replicate: bool) -> bool:
+        """Score one trial move under the shared lazy rule; keep it if better.
+
+        A plain trial is scored without being made and applied only when
+        accepted. A replicate trial is applied first and undone unless
+        accepted.
+        """
         nonlocal best_prefix, best_length, best_imbalance, evaluations, skipped
         evaluations += 1
-        prefix = evaluator.prefix()
+        if replicate:
+            move = evaluator.apply_replicate(uid, cluster)
+            trial: tuple[int, ...] = ()
+        else:
+            trial = (uid, cluster)
+        prefix = evaluator.prefix(*trial)
         if prefix > best_prefix:
             skipped += 1
-            evaluator.undo(move)
+            if replicate:
+                evaluator.undo(move)
             return False
         if prefix < best_prefix:
             skipped += 1
             length: int | None = None
-            imbalance = evaluator.imbalance()
+            imbalance = evaluator.imbalance(*trial)
         else:
             if best_length is None:
-                # The incumbent's length was never needed until now;
-                # flip the move off to measure it.
-                evaluator.undo(move)
-                best_length = evaluator.length()
-                evaluator.redo(move)
-            length = evaluator.length()
-            imbalance = evaluator.imbalance()
+                # The incumbent's length was never needed until now.
+                if replicate:
+                    evaluator.undo(move)
+                    best_length = evaluator.length()
+                    evaluator.redo(move)
+                else:
+                    best_length = evaluator.length()
+            length = evaluator.length(*trial)
+            imbalance = evaluator.imbalance(*trial)
             if (length, imbalance) >= (best_length, best_imbalance):
-                evaluator.undo(move)
+                if replicate:
+                    evaluator.undo(move)
                 return False
+        if not replicate:
+            evaluator.apply(uid, cluster)
         best_prefix = prefix
         best_length = length
         best_imbalance = imbalance
@@ -134,7 +157,7 @@ def refine_replicating(
         improved = False
         for uid in evaluator.boundary():
             for cluster in evaluator.move_targets(uid):
-                if consider(evaluator.apply(uid, cluster)):
+                if consider(uid, cluster, False):
                     plain_accepted += 1
                     improved = True
                     break
@@ -144,7 +167,7 @@ def refine_replicating(
         if not improved and replicas_granted < replication_budget:
             for uid in evaluator.replicate_candidates():
                 for cluster in evaluator.replicate_targets(uid):
-                    if consider(evaluator.apply_replicate(uid, cluster)):
+                    if consider(uid, cluster, True):
                         replicate_accepted += 1
                         replicas_granted += 1
                         improved = True
@@ -167,6 +190,9 @@ def refine_replicating(
         ("moves.plain_rejected", plain_rejected),
         ("moves.replicate_accepted", replicate_accepted),
         ("moves.replicate_rejected", replicate_rejected),
+        ("moves_applied", plain_rejected),
+        ("moves.plain", plain_rejected),
+        ("moves_reverted", plain_rejected),
     ):
         registry.counter(f"partition.{name}").inc(count)
     registry.gauge("partition.moves.replicas_surviving").set(

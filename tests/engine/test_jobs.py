@@ -9,7 +9,14 @@ import pytest
 
 from repro.ddg import io as ddg_io
 from repro.ddg.graph import Ddg
-from repro.engine.jobs import CompileJob, ErrorKind, Outcome, run_job
+from repro.engine.jobs import (
+    CompileJob,
+    ErrorKind,
+    Outcome,
+    resolve_machine,
+    run_job,
+)
+from repro.machine.config import ConfigError
 from repro.machine.resources import OpClass
 from repro.pipeline import golden
 from repro.pipeline.driver import Scheme
@@ -236,3 +243,14 @@ class TestErrorKinds:
         result = run_job(job(scheme="no_such_scheme"))
         assert result.outcome is Outcome.ERROR
         assert result.error_kind is ErrorKind.INVALID_INPUT
+
+
+class TestResolveMachine:
+    def test_one_name_resolves_to_one_object(self):
+        assert resolve_machine("4c2b4l64r") is resolve_machine("4c2b4l64r")
+        assert resolve_machine("unified") is resolve_machine("unified")
+
+    def test_bad_name_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                resolve_machine("not-a-machine")

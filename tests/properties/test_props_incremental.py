@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.ddg.csr import FU_KINDS
 from repro.ddg.graph import Ddg, EdgeKind
 from repro.machine.config import MachineConfig, parse_config
 from repro.partition.incremental import MoveEvaluator
@@ -253,3 +254,141 @@ def test_mixed_walk_matches_from_scratch(seed, machine_name, ii):
     # Fully unwound: starting assignment, zero surviving replicas.
     assert evaluator.to_partition().assignment() == assignment
     assert evaluator.replicas() == {}
+
+
+# ----------------------------------------------------------------------
+# Maintained tables and trial scoring
+# ----------------------------------------------------------------------
+
+TABLE_MOVES_PER_CASE = 100
+
+#: The walk cases plus machines and IIs where the register floor and
+#: the resource bound bind: few registers per cluster, and candidate IIs
+#: near the busiest cluster's load, so trials cross both thresholds.
+TABLE_CASES = CASES + [
+    (5, "4c1b2l8r", 4),
+    (6, "4c2b4l64r", 5),
+    (7, "2c1b2l12r", 3),
+]
+
+
+def check_tables(evaluator: MoveEvaluator, machine: MachineConfig) -> None:
+    """Maintained bounds, floor count and penalties equal a recount.
+
+    Counted over ``Ddg`` objects and the materialized partition plus
+    the evaluator's replica map, with replicas as extra instances.
+    """
+    partition = evaluator.to_partition()
+    ddg = partition.ddg
+    extra = evaluator.replicas()
+    loads = [dict.fromkeys(FU_KINDS, 0) for _ in machine.cluster_ids()]
+    producers = [0] * machine.n_clusters
+    for uid in ddg.node_ids():
+        node = ddg.node(uid)
+        for cluster in {partition.cluster_of(uid)} | set(extra.get(uid, ())):
+            loads[cluster][node.fu_kind] += 1
+            if not node.is_store:
+                producers[cluster] += 1
+    bounds = [
+        [
+            math.ceil(loads[cluster][kind] / machine.fu_count(cluster, kind))
+            for kind in FU_KINDS
+        ]
+        for cluster in machine.cluster_ids()
+    ]
+    assert evaluator._bound == bounds
+    assert evaluator._max_bound == max(max(row) for row in bounds)
+    assert evaluator._bound_count == [
+        sum(row.count(value) for row in bounds)
+        for value in range(len(evaluator._bound_count))
+    ]
+    assert evaluator._over_floor == sum(
+        count > machine.registers(cluster)
+        for cluster, count in enumerate(producers)
+    )
+    bus = machine.bus.latency
+    penalty = []
+    for edge in ddg.edges():
+        consumer_home = partition.cluster_of(edge.dst)
+        crosses = consumer_home != partition.cluster_of(
+            edge.src
+        ) and consumer_home not in extra.get(edge.src, ())
+        penalty.append(bus if edge.kind is EdgeKind.REGISTER and crosses else 0)
+    assert evaluator._penalty == penalty
+
+
+def check_trials(evaluator: MoveEvaluator) -> None:
+    """Every boundary trial scores as apply -> score -> undo would.
+
+    The length memo is emptied before each length so that both sides
+    run the relaxation: the trial over its re-priced edges, the applied
+    state over the penalties ``apply`` maintained.
+    """
+    for uid in evaluator.boundary():
+        for target in evaluator.move_targets(uid):
+            evaluator._length_memo.clear()
+            trial = (
+                evaluator.prefix(uid, target),
+                evaluator.length(uid, target),
+                evaluator.imbalance(uid, target),
+            )
+            move = evaluator.apply(uid, target)
+            evaluator._length_memo.clear()
+            applied = (
+                evaluator.prefix(),
+                evaluator.length(),
+                evaluator.imbalance(),
+            )
+            evaluator.undo(move)
+            assert trial == applied, (uid, target)
+
+
+@pytest.mark.parametrize("replicate", [False, True], ids=["plain", "mixed"])
+@pytest.mark.parametrize("seed,machine_name,ii", TABLE_CASES)
+def test_tables_and_trials_match_through_the_walk(seed, machine_name, ii, replicate):
+    """After every apply, undo, replicate and de-replicate, the maintained
+    tables equal a recount and every boundary trial equals its applied
+    state, with and without live replicas."""
+    rng = random.Random(2000 + seed)
+    machine = parse_config(machine_name)
+    ddg = generate_loop(LoopSpec(name="walk"), rng, index=seed).ddg
+    uids = list(ddg.node_ids())
+    assignment = {uid: rng.randrange(machine.n_clusters) for uid in uids}
+    evaluator = MoveEvaluator(
+        Partition(ddg, assignment, machine.n_clusters), machine, ii
+    )
+
+    def check() -> None:
+        check_tables(evaluator, machine)
+        check_trials(evaluator)
+
+    check()
+    undo_stack = []
+    live_replicas = False
+    for _ in range(TABLE_MOVES_PER_CASE):
+        roll = rng.random()
+        if undo_stack and roll < 0.3:
+            evaluator.undo(undo_stack.pop())
+        elif not replicate or roll < 0.65:
+            uid = rng.choice(uids)
+            targets = evaluator.move_targets(uid)
+            if not targets:
+                continue
+            undo_stack.append(evaluator.apply(uid, rng.choice(targets)))
+        else:
+            candidates = evaluator.replicate_candidates()
+            if not candidates:
+                continue
+            uid = rng.choice(candidates)
+            targets = evaluator.replicate_targets(uid)
+            if not targets:
+                continue
+            undo_stack.append(
+                evaluator.apply_replicate(uid, rng.choice(targets))
+            )
+        live_replicas = live_replicas or evaluator.has_replicas
+        check()
+    while undo_stack:
+        evaluator.undo(undo_stack.pop())
+        check()
+    assert live_replicas == replicate

@@ -29,6 +29,11 @@ the pickle (:func:`seal`). :func:`encode_entry` writes it and
   ``Kernel.ops``;
 * ``copy_latency_override`` and ``diagnostics``.
 
+The same bytes are the process pool's wire: a worker encodes its
+verified result, and the parent decodes them against the job's own DDG
+(the decode a hit makes) and stores them unchanged with
+:meth:`ResultCache.put_entry` (see :mod:`repro.engine.executor`).
+
 DDG binding and the rebuilt kernel
 ----------------------------------
 A read names the key it expects, and an entry stored under any other
@@ -188,8 +193,16 @@ def encode_entry(result: CompileResult, key: str) -> bytes:
         "feasible": plan.feasible,
         "rows": tuple((iid, op.start, op.bus) for iid, op in kernel.ops.items()),
         "copy_latency_override": kernel.copy_latency_override,
+        # Built by hand: ``dataclasses.asdict`` deep-copies every value,
+        # which is most of an encode. The pickled bytes are the same.
         "diagnostics": (
-            None if diagnostics is None else dataclasses.asdict(diagnostics)
+            None
+            if diagnostics is None
+            else {
+                "stage_seconds": dict(diagnostics.stage_seconds),
+                "ii_trajectory": list(diagnostics.ii_trajectory),
+                "counters": dict(diagnostics.counters),
+            }
         ),
     }
     return seal(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
@@ -389,10 +402,16 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: CompileResult) -> None:
-        """Persist a result atomically (tmp file + rename)."""
+        """Persist a result atomically (see :meth:`put_entry`)."""
+        if self.enabled:
+            self.put_entry(key, encode_entry(result, key))
+
+    def put_entry(self, key: str, raw: bytes) -> None:
+        """Persist :func:`encode_entry` bytes for ``key`` atomically
+        (tmp file + rename). A pool worker's entry is stored this way,
+        unchanged."""
         if not self.enabled:
             return
-        raw = encode_entry(result, key)
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,11 @@
 2. otherwise compiles, either in-process (``jobs == 1`` — bit-identical
    to calling :func:`repro.pipeline.driver.compile_loop` directly) or
    on a ``ProcessPoolExecutor`` fan-out, and verifies the kernel
-   (:func:`repro.engine.jobs.run_job`);
+   (:func:`repro.engine.jobs.run_job`). A pool worker returns a
+   verified result as its sealed store entry
+   (:func:`~repro.engine.cache.encode_entry`), never as a
+   ``CompileResult``: the parent decodes it against the job's own DDG,
+   as a cache hit does (:func:`accept_entry`);
 3. enforces a per-job wall-clock timeout *inside* the worker (SIGALRM)
    so an exploding search records a ``TIMEOUT`` outcome instead of
    hanging the suite or poisoning the pool;
@@ -15,8 +19,8 @@
    :func:`pool_failure`: a job whose worker process died
    (``BrokenProcessPool``) is retried once on a one-worker pool of its
    own, then degrades to a structured ``ERROR``;
-5. writes fresh successes back to the cache and emits a structured
-   event per transition.
+5. writes fresh successes back to the cache (a pool job's entry bytes
+   unchanged) and emits a structured event per transition.
 
 Results come back in submission order, one :class:`JobResult` per job,
 and never as an exception: unschedulable loops, timeouts and worker
@@ -24,7 +28,8 @@ deaths are data, so one bad cell cannot abort a 678-loop sweep.
 
 The serving layer (:mod:`repro.serve.manager`) compiles on its own
 long-lived process pool, through the same worker entry point
-(:func:`execute_wire`) and the same failure rule (:func:`pool_failure`).
+(:func:`execute_wire`), the same entry binding (:func:`accept_entry`)
+and the same failure rule (:func:`pool_failure`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.engine.cache import ResultCache, default_cache
+from repro.ddg.graph import Ddg
+from repro.engine.cache import ResultCache, decode_entry, default_cache, encode_entry
 from repro.engine.events import Event, EventBus, EventKind
 from repro.engine.jobs import CompileJob, ErrorKind, JobResult, Outcome, run_job
 from repro.obs import spans as obs
@@ -179,11 +185,18 @@ def execute_wire(
     key: str,
     timeout: float | None,
     traceparent: str | None = None,
-) -> JobResult:
-    """Worker-process entry point: rebuild the job and run it.
+) -> tuple[JobResult, bytes | None]:
+    """Worker-process entry point: rebuild the job, run it, and return
+    its result with the result's sealed store entry.
 
     Batch workers (:func:`run_jobs`) and the serving layer's persistent
     process pool (:mod:`repro.serve.manager`) both run jobs through it.
+    An OK, verified result crosses back as
+    :func:`~repro.engine.cache.encode_entry` bytes, and the
+    :class:`JobResult` beside them holds no ``CompileResult``; every
+    other ending carries no entry. The caller binds the entry with
+    :func:`accept_entry`.
+
     When tracing is on (the worker inherits ``REPRO_TRACE``), the job
     runs under a worker-side ``engine.job`` span; every span the job
     produced is drained from the worker tracer and shipped back on the
@@ -198,9 +211,42 @@ def execute_wire(
         "engine.job", remote=remote, tag=job.tag, key=key[:12], worker=True
     ) as job_span:
         result = _timed_run(job, key, timeout)
+        entry = None
+        if result.ok:
+            entry = encode_entry(result.result, key)
+            result.result = None
         job_span.set(outcome=result.outcome.value)
     if obs.enabled():
         result.spans = obs.tracer().drain_wire()
+    return result, entry
+
+
+def accept_entry(
+    result: JobResult, entry: bytes | None, ddg: Ddg, cache: ResultCache
+) -> JobResult:
+    """``result`` as :func:`execute_wire` returned it, with its ``entry``
+    decoded against the job's own ``ddg`` (the decode a cache hit makes)
+    and stored unchanged in ``cache``.
+
+    An entry that does not decode ends the job ``INTERNAL`` and is not
+    stored. A result without an entry is returned as it is.
+    """
+    if entry is None:
+        return result
+    try:
+        result.result = decode_entry(entry, result.key, ddg)
+    except Exception as exc:  # any decode failure refuses the entry
+        result.outcome = Outcome.ERROR
+        result.error = f"worker entry does not decode: {type(exc).__name__}: {exc}"
+        result.error_kind = ErrorKind.INTERNAL
+        _log.error(
+            "worker entry refused",
+            tag=result.tag,
+            key=result.key[:12],
+            error=result.error,
+        )
+        return result
+    cache.put_entry(result.key, entry)
     return result
 
 
@@ -304,6 +350,8 @@ def run_jobs(
                 ) as job_span:
                     results[index] = _timed_run(jobs[index], keys[index], timeout)
                     job_span.set(outcome=results[index].outcome.value)
+                if results[index].ok:
+                    cache.put(keys[index], results[index].result)
         elif pending:
             traceparent = (
                 format_traceparent(batch.context) if batch.trace_id else None
@@ -316,6 +364,7 @@ def run_jobs(
                 workers,
                 timeout,
                 bus,
+                cache,
                 traceparent,
             )
 
@@ -330,8 +379,6 @@ def run_jobs(
                     trace_id=batch.trace_id,
                 )
                 result.spans = []
-            if result.ok and not result.cached:
-                cache.put(result.key, result.result)
             bus.emit(event_for_result(result))
     return results  # type: ignore[return-value] — every slot is filled
 
@@ -344,6 +391,7 @@ def _run_pool(
     workers: int,
     timeout: float | None,
     bus: EventBus,
+    cache: ResultCache,
     traceparent: str | None = None,
 ) -> None:
     """Fan pending jobs out over worker processes.
@@ -354,7 +402,8 @@ def _run_pool(
     time), so only a job whose own compile kills its worker ends
     ``WORKER_DIED``, and the batch always completes. Retry pools start
     their workers the way the first pool did, so a retry runs the job
-    as its first try did.
+    as its first try did. Each job's entry is decoded against its own
+    DDG and stored as it arrives (:func:`accept_entry`).
     """
 
     def run(group: list[int], pool_for, attempt: int) -> list[int]:
@@ -376,13 +425,15 @@ def _run_pool(
         retry = []
         for index, future in zip(group, futures):
             try:
-                results[index] = future.result()
+                done, entry = future.result()
             except Exception as exc:
                 results[index] = pool_failure(
                     exc, keys[index], jobs[index].tag, attempt
                 )
                 if results[index] is None:
                     retry.append(index)
+            else:
+                results[index] = accept_entry(done, entry, jobs[index].ddg, cache)
         return retry
 
     with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:

@@ -236,7 +236,10 @@ class JobResult:
     ``spans`` carries the worker process's finished trace spans (wire
     dicts; empty unless ``REPRO_TRACE`` is on) back to the engine,
     which re-parents them under the batch span — see
-    :mod:`repro.obs.spans`.
+    :mod:`repro.obs.spans`. A pool worker's result crosses back without
+    its ``result``: the compiled result travels as its store entry,
+    which the caller decodes into ``result``
+    (:func:`repro.engine.executor.accept_entry`).
     """
 
     key: str

@@ -21,7 +21,8 @@ import pathlib
 import tempfile
 import threading
 
-from repro.engine.jobs import CompileJob, JobResult
+from repro.engine.jobs import CompileJob, JobResult, Outcome
+from repro.serve.manager import JobRecord
 from repro.serve.server import ServeConfig, ServeServer, build_service
 
 
@@ -153,17 +154,36 @@ class ServeCluster:
                 await asyncio.sleep(min(decision.retry_after, 0.02))
             records.append(record)
         results = []
-        for record in records:
+        for job, record in zip(jobs, records):
             await record.done.wait()
-            results.append(record.result)
+            results.append(self._result(job, record))
         return results
+
+    def _result(self, job: CompileJob, record: JobRecord) -> JobResult:
+        """A finished record as a :class:`JobResult`: its status fields,
+        and for an OK job the result read back from the store."""
+        summary = record.summary
+        return JobResult(
+            key=record.key,
+            tag=record.tag,
+            outcome=summary.outcome,
+            result=(
+                self.cache.get(record.key, ddg=job.ddg)
+                if summary.outcome is Outcome.OK
+                else None
+            ),
+            error=summary.error,
+            error_kind=summary.error_kind,
+            duration=summary.duration,
+            cached=summary.cached,
+        )
 
     def forget_records(self) -> None:
         """Drop job records so resubmissions re-walk the cache path."""
         self._call(self._forget())
 
     async def _forget(self) -> None:
-        self.manager.records.clear()
+        self.manager.forget()
 
 
 def run_smoke(quiet: bool = False) -> int:

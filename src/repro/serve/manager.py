@@ -19,10 +19,20 @@ HTTP front end and the existing engine machinery. Per submission it:
    replaced, and a job whose worker died is retried once on a
    one-worker pool of its own, so one dead worker never stops the
    server compiling and a job that kills its worker fails alone;
-4. emits the same structured :class:`repro.engine.events.Event` stream
+4. decodes the worker's sealed store entry once, against the
+   submitted job's DDG, and stores the same bytes
+   (:func:`repro.engine.executor.accept_entry`);
+5. emits the same structured :class:`repro.engine.events.Event` stream
    the batch engine produces (``started``/``finished``/``cache_hit``/
    ``timeout``/``error``) to an :class:`~repro.engine.events.EventBus`
    *and* to per-job histories that HTTP clients can stream as NDJSON.
+
+A finished record keeps only its status fields (:class:`JobSummary`),
+computed once: no result, wire payload or DDG. At most
+:data:`MAX_DONE_RECORDS` finished records are held; past that the
+oldest are evicted, and a later request for an evicted key answers
+from the store (:meth:`JobManager.lookup`), as for any key the server
+never saw. Errors are never stored, so an evicted error is forgotten.
 
 The manager must only be touched from its event loop; cross-thread
 callers go through :func:`asyncio.run_coroutine_threadsafe` (see
@@ -32,21 +42,34 @@ callers go through :func:`asyncio.run_coroutine_threadsafe` (see
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import enum
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.ddg.graph import Ddg
 from repro.engine.cache import ResultCache
 from repro.engine.events import Event, EventBus, EventKind
-from repro.engine.executor import event_for_result, execute_wire, pool_failure
+from repro.engine.executor import (
+    accept_entry,
+    event_for_result,
+    execute_wire,
+    pool_failure,
+)
 from repro.engine.fingerprint import result_fingerprint
-from repro.engine.jobs import CompileJob, JobResult, Outcome
+from repro.engine.jobs import CompileJob, ErrorKind, JobResult, Outcome
 from repro.obs import spans as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import format_traceparent
 from repro.obs.spans import SpanContext
 from repro.serve.admission import AdmissionController, AdmissionDecision
+
+#: Most finished records a manager holds, a few KB each. It is above the
+#: distinct keys one 20 s serve-mixed benchmark window finishes (about
+#: 3,200 at 190 submissions/s), so that window's repeats still dedupe in
+#: memory.
+MAX_DONE_RECORDS = 4096
 
 
 class JobStatus(enum.Enum):
@@ -60,6 +83,46 @@ class JobStatus(enum.Enum):
         return f"JobStatus.{self.name}"
 
 
+@dataclasses.dataclass(frozen=True)
+class JobSummary:
+    """What a finished job keeps: its status fields, computed once.
+
+    ``ii``, ``mii``, ``scheme`` and ``fingerprint`` are set for an OK
+    result only; ``error`` and ``error_kind`` for any other ending.
+    """
+
+    outcome: Outcome
+    cached: bool
+    duration: float
+    error: str = ""
+    error_kind: ErrorKind = ErrorKind.NONE
+    ii: int | None = None
+    mii: int | None = None
+    scheme: str | None = None
+    fingerprint: str | None = None
+
+    @classmethod
+    def of(cls, result: JobResult) -> "JobSummary":
+        """The status fields of ``result``."""
+        summary = cls(
+            outcome=result.outcome,
+            cached=result.cached,
+            duration=result.duration,
+            error=result.error,
+            error_kind=result.error_kind,
+        )
+        if not result.ok:
+            return summary
+        compiled = result.result
+        return dataclasses.replace(
+            summary,
+            ii=compiled.ii,
+            mii=compiled.mii,
+            scheme=compiled.scheme_name,
+            fingerprint=result_fingerprint(compiled),
+        )
+
+
 @dataclasses.dataclass
 class JobRecord:
     """Everything the server knows about one submitted key."""
@@ -67,10 +130,15 @@ class JobRecord:
     key: str
     tag: str
     client: str
-    wire: dict | None
     status: JobStatus
     submitted_at: float
-    result: JobResult | None = None
+    # What a compile needs, dropped when the job finishes: the payload
+    # a worker rebuilds the job from (a retry after a worker death sends
+    # it again) and the submitted DDG the worker's entry is decoded
+    # against.
+    wire: dict | None = None
+    ddg: Ddg | None = None
+    summary: JobSummary | None = None
     # The submitting request's span context (None when tracing is off
     # or the submission came from outside any span): the ``serve.job``
     # span parents under it, stitching the job into the caller's trace.
@@ -96,19 +164,19 @@ class JobRecord:
         }
         if self.trace:
             payload["trace"] = self.trace
-        if self.result is not None:
-            res = self.result
-            payload["outcome"] = res.outcome.value
-            payload["cached"] = res.cached
-            payload["duration"] = round(res.duration, 6)
-            if res.ok:
-                payload["ii"] = res.result.ii
-                payload["mii"] = res.result.mii
-                payload["scheme"] = res.result.scheme_name
-                payload["fingerprint"] = result_fingerprint(res.result)
-            if res.error:
-                payload["error"] = res.error
-                payload["error_kind"] = res.error_kind.value
+        summary = self.summary
+        if summary is not None:
+            payload["outcome"] = summary.outcome.value
+            payload["cached"] = summary.cached
+            payload["duration"] = round(summary.duration, 6)
+            if summary.fingerprint is not None:
+                payload["ii"] = summary.ii
+                payload["mii"] = summary.mii
+                payload["scheme"] = summary.scheme
+                payload["fingerprint"] = summary.fingerprint
+            if summary.error:
+                payload["error"] = summary.error
+                payload["error_kind"] = summary.error_kind.value
         return payload
 
 
@@ -142,6 +210,8 @@ class JobManager:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scoped = self.metrics.scoped("serve")
         self.records: dict[str, JobRecord] = {}
+        # Keys of the finished records in ``records``, oldest first.
+        self._done: collections.deque[str] = collections.deque()
         self._tasks: set[asyncio.Task] = set()
         self._pool = ProcessPoolExecutor(max_workers=workers)
         # Retries run on one-worker pools of their own, ``workers`` at a time.
@@ -150,14 +220,15 @@ class JobManager:
     # -- submission ------------------------------------------------------
 
     def lookup(self, key: str) -> JobRecord | None:
-        """The record for ``key``, materializing cache-only hits."""
+        """The record for ``key``, materializing cache-only hits (a key
+        never submitted here, or one whose record was evicted)."""
         record = self.records.get(key)
         if record is not None:
             return record
         cached = self.cache.get(key)
         if cached is None:
             return None
-        return self._record_cache_hit(key, tag="", client="", wire=None, result=cached)
+        return self._record_cache_hit(key, tag="", client="", result=cached)
 
     def submit(
         self, job: CompileJob, client: str = ""
@@ -176,7 +247,7 @@ class JobManager:
         cached = self.cache.get(key, ddg=job.ddg)
         if cached is not None:
             record = self._record_cache_hit(
-                key, tag=job.tag, client=client, wire=None, result=cached
+                key, tag=job.tag, client=client, result=cached
             )
             return record, AdmissionDecision(True)
         decision = self.admission.admit(client)
@@ -187,9 +258,10 @@ class JobManager:
             key=key,
             tag=job.tag,
             client=client,
-            wire=job.to_wire(),
             status=JobStatus.QUEUED,
             submitted_at=time.time(),
+            wire=job.to_wire(),
+            ddg=job.ddg,
             ctx=ctx,
             trace=ctx.trace_id if ctx else "",
             span=ctx.span_id if ctx else 0,
@@ -202,28 +274,40 @@ class JobManager:
         return record, decision
 
     def _record_cache_hit(
-        self, key: str, tag: str, client: str, wire, result
+        self, key: str, tag: str, client: str, result
     ) -> JobRecord:
         ctx = obs.current_context()
         record = JobRecord(
             key=key,
             tag=tag,
             client=client,
-            wire=wire,
             status=JobStatus.DONE,
             submitted_at=time.time(),
-            result=JobResult(
-                key=key, tag=tag, outcome=Outcome.OK, result=result, cached=True
-            ),
             ctx=ctx,
             trace=ctx.trace_id if ctx else "",
             span=ctx.span_id if ctx else 0,
         )
         self.records[key] = record
         self._scoped.counter("cache_hits").inc()
-        self._emit(record, event_for_result(record.result))
-        record.done.set()
+        self._finish(
+            record,
+            JobResult(key=key, tag=tag, outcome=Outcome.OK, result=result, cached=True),
+        )
         return record
+
+    def _finish(self, record: JobRecord, result: JobResult) -> None:
+        """Make ``record`` DONE with ``result``'s status fields, drop
+        what only a compile needed, and evict past the bound."""
+        record.summary = JobSummary.of(result)
+        record.wire = record.ddg = None
+        record.status = JobStatus.DONE
+        self._emit(record, event_for_result(result))
+        record.done.set()
+        if self.records.get(record.key) is not record:
+            return  # forgotten while it ran
+        self._done.append(record.key)
+        while len(self._done) > MAX_DONE_RECORDS:
+            del self.records[self._done.popleft()]
 
     # -- execution -------------------------------------------------------
 
@@ -248,11 +332,12 @@ class JobManager:
         )
         started = time.perf_counter()
         result: JobResult | None = None
+        entry: bytes | None = None
         attempt = 0
         while result is None:
             shared = self._pool if attempt == 0 else None
             try:
-                result = await self._attempt(record, traceparent, shared)
+                result, entry = await self._attempt(record, traceparent, shared)
             except Exception as exc:
                 attempt += 1
                 result = pool_failure(exc, record.key, record.tag, attempt)
@@ -271,27 +356,24 @@ class JobManager:
                 trace_id=job_span.trace_id,
             )
             result.spans = []
-        if result.ok:
-            self.cache.put(record.key, result.result)
-        record.result = result
-        record.status = JobStatus.DONE
+        result = accept_entry(result, entry, record.ddg, self.cache)
         self._scoped.counter("compiled").inc()
         self._scoped.histogram("job_seconds").observe(result.duration)
         job_span.set(outcome=result.outcome.value)
         job_span.finish(error=not result.ok)
-        self._emit(record, event_for_result(result))
         self.admission.release(record.client)
-        record.done.set()
+        self._finish(record, result)
 
     async def _attempt(
         self,
         record: JobRecord,
         traceparent: str | None,
         shared: ProcessPoolExecutor | None,
-    ) -> JobResult:
+    ) -> tuple[JobResult, bytes | None]:
         """One try of ``record``'s compile, on the ``shared`` pool or,
-        when None, on a one-worker pool of its own; raises what the
-        pool call raised."""
+        when None, on a one-worker pool of its own: what
+        :func:`~repro.engine.executor.execute_wire` returned. Raises
+        what the pool call raised."""
         loop = asyncio.get_running_loop()
         call = (execute_wire, record.wire, record.key, self.timeout, traceparent)
         if shared is not None:
@@ -330,15 +412,10 @@ class JobManager:
 
     # -- consumption -----------------------------------------------------
 
-    async def wait(self, key: str, timeout: float | None = None) -> JobRecord:
-        """Block until ``key`` reaches a terminal state."""
-        record = self.records[key]
-        await asyncio.wait_for(record.done.wait(), timeout)
-        return record
-
-    async def stream_events(self, key: str):
-        """Yield the job's events: history first, then live to terminal."""
-        record = self.records[key]
+    async def stream_events(self, record: JobRecord):
+        """Yield ``record``'s events: history first, then live to
+        terminal. The stream holds its record, so an eviction never
+        cuts it short."""
         index = 0
         while True:
             while index < len(record.events):
@@ -357,6 +434,12 @@ class JobManager:
         for record in self.records.values():
             counts[record.status.value] += 1
         return counts
+
+    def forget(self) -> None:
+        """Drop every record, so each key's next request walks the
+        store again."""
+        self.records.clear()
+        self._done.clear()
 
     # -- shutdown --------------------------------------------------------
 

@@ -263,7 +263,7 @@ class ServeServer:
             state = "draining" if self.manager.admission.draining else "ok"
             return await _respond(writer, 200, {"status": state})
         if path == "/stats" and method == "GET":
-            return await _respond(writer, 200, self._stats_payload())
+            return await _respond(writer, 200, await self._stats_payload())
         if path == "/metrics" and method == "GET":
             return await _respond_text(
                 writer, 200, render_exposition(self.manager.metrics)
@@ -343,14 +343,16 @@ class ServeServer:
             b"Connection: close\r\n"
             b"\r\n"
         )
-        async for event in self.manager.stream_events(key):
+        async for event in self.manager.stream_events(record):
             line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
             writer.write(line.encode("utf-8"))
             await writer.drain()
         return 200
 
-    def _stats_payload(self) -> dict:
-        cache_stats = self.cache.stats()
+    async def _stats_payload(self) -> dict:
+        # The store scan stats every entry file: run it off the event
+        # loop, so the requests in flight do not wait through it.
+        cache_stats = await asyncio.to_thread(self.cache.stats)
         return {
             "jobs": self.manager.counts(),
             "admission": {

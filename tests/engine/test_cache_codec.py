@@ -10,6 +10,7 @@ a body seal it again with a correct digest, so the damage reaches the
 decoder's own validation instead of the checksum.
 """
 
+import dataclasses
 import pickle
 import tempfile
 
@@ -130,6 +131,20 @@ class TestRoundTrip:
         _, key, fresh = _stored(store, stencil5())
         loaded = store.get(key)
         assert loaded.diagnostics == fresh.diagnostics
+
+    @pytest.mark.parametrize("variant", ("baseline", "replication", "repl-part"))
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_entry_bytes_equal_an_asdict_encoding(self, loop, variant):
+        """The diagnostics dict is built by hand; the bytes are those an
+        encoder using ``dataclasses.asdict`` writes, so stores filled
+        with either replay on the other."""
+        job = CompileJob(ddg=LOOPS[loop](), machine="4c1b2l64r", **VARIANTS[variant])
+        result = run_job(job).result
+        assert result.diagnostics.counters and result.diagnostics.stage_seconds
+        raw = encode_entry(result, job.content_hash())
+        entry = pickle.loads(unseal(raw))
+        entry["diagnostics"] = dataclasses.asdict(result.diagnostics)
+        assert seal(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)) == raw
 
 
 def _damage(store, key, change):

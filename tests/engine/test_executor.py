@@ -1,18 +1,29 @@
 """Executor edge cases: serial parity, timeouts, retries, corruption."""
 
+import io
 import os
+import pickle
 import time
 
 import pytest
 
+from repro.ddg.graph import Ddg
+from repro.engine import executor as executor_mod
 from repro.engine import jobs as jobs_mod
-from repro.engine.cache import ResultCache
+from repro.engine.cache import CacheEntryError, ResultCache, decode_entry
 from repro.engine.events import CollectingSink, EventBus, EventKind
-from repro.engine.executor import EngineConfig, configured_jobs, run_jobs
+from repro.engine.executor import (
+    EngineConfig,
+    configured_jobs,
+    execute_wire,
+    run_jobs,
+)
+from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob, ErrorKind, Outcome
 from repro.pipeline import passes as passes_mod
-from repro.pipeline.driver import Scheme, compile_loop
+from repro.pipeline.driver import CompileResult, Scheme, compile_loop
 from repro.pipeline.metrics import loop_metrics
+from repro.schedule.kernel import Kernel
 from repro.workloads.specfp import benchmark_loops
 
 
@@ -259,3 +270,70 @@ class TestConfiguredJobs:
         monkeypatch.setenv("REPRO_ENGINE_JOBS", "many")
         with pytest.raises(ValueError, match="REPRO_ENGINE_JOBS"):
             configured_jobs()
+
+
+def pickled_types(value) -> set[type]:
+    """The type of every object pickling ``value`` writes: what would
+    cross a process pool if ``value`` were a worker's return value."""
+    seen: set[type] = set()
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, obj):
+            seen.add(type(obj))
+            return None
+
+    Spy(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+    return seen
+
+
+class TestEntryWire:
+    """A pool job crosses back as its sealed store entry, is decoded
+    against the job's own DDG, and is stored as the same bytes."""
+
+    def test_worker_returns_entry_bytes_and_no_compile_result(self):
+        _, (job,) = suite_jobs("mgrid", limit=1)
+        key = job.content_hash()
+        done, entry = execute_wire(job.to_wire(), key, None)
+        assert done.outcome is Outcome.OK and done.result is None
+        crossing = pickled_types((done, entry))
+        assert not crossing & {CompileResult, Ddg, Kernel}, crossing
+        fresh = compile_loop(
+            job.ddg, jobs_mod.resolve_machine(job.machine), scheme=job.scheme
+        )
+        decoded = decode_entry(entry, key, job.ddg)
+        assert result_fingerprint(decoded) == result_fingerprint(fresh)
+        assert decoded.diagnostics.ii_trajectory == fresh.diagnostics.ii_trajectory
+
+    def test_errors_carry_no_entry(self):
+        job = CompileJob(ddg=Ddg("hollow"), machine="2c1b2l64r", scheme=Scheme.BASELINE)
+        done, entry = execute_wire(job.to_wire(), job.content_hash(), None)
+        assert done.outcome is Outcome.ERROR and entry is None
+
+    def test_pool_results_match_inline_and_store_their_entries(self, tmp_path):
+        _, jobs = suite_jobs("tomcatv", limit=3)
+        store = ResultCache(root=tmp_path, enabled=True)
+        pooled = run_jobs(jobs, EngineConfig(jobs=2, cache=store))
+        inline = run_jobs(jobs, EngineConfig(jobs=1, cache=no_cache()))
+        for job, a, b in zip(jobs, pooled, inline):
+            assert a.ok and b.ok and not a.cached
+            assert result_fingerprint(a.result) == result_fingerprint(b.result)
+            assert a.result.partition.ddg is job.ddg
+            assert a.result.diagnostics.counters == b.result.diagnostics.counters
+            raw = store.path_for(a.key).read_bytes()
+            stored = decode_entry(raw, a.key, job.ddg)
+            assert result_fingerprint(stored) == result_fingerprint(b.result)
+
+    def test_an_entry_that_does_not_decode_is_internal_and_not_stored(
+        self, monkeypatch, tmp_path
+    ):
+        def refuse(raw, key, ddg=None):
+            raise CacheEntryError("planted")
+
+        monkeypatch.setattr(executor_mod, "decode_entry", refuse)
+        _, jobs = suite_jobs("mgrid", limit=2)
+        store = ResultCache(root=tmp_path, enabled=True)
+        results = run_jobs(jobs, EngineConfig(jobs=2, cache=store))
+        assert [r.error_kind for r in results] == [ErrorKind.INTERNAL] * 2
+        assert all(r.outcome is Outcome.ERROR for r in results)
+        assert "planted" in results[0].error
+        assert list(tmp_path.rglob("*.pkl")) == []

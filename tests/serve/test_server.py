@@ -4,6 +4,7 @@ import http.client
 import json
 import pickle
 import socket
+import threading
 import time
 
 import pytest
@@ -158,6 +159,28 @@ class TestProtocolErrors:
         assert client.health()["status"] == "ok"
         stats = client.stats()
         assert stats["admission"]["queue_limit"] >= 1
+
+    def test_stats_scans_the_store_off_the_event_loop(
+        self, cluster, client, monkeypatch
+    ):
+        """A slow store scan holds up no other request."""
+        real = cluster.cache.stats
+
+        def slow():
+            time.sleep(0.5)
+            return real()
+
+        monkeypatch.setattr(cluster.cache, "stats", slow)
+        stats = threading.Thread(target=client.stats)
+        stats.start()
+        try:
+            time.sleep(0.1)  # the /stats request is in flight
+            started = time.perf_counter()
+            assert client.health()["status"] == "ok"
+            assert time.perf_counter() - started < 0.25
+        finally:
+            stats.join(timeout=30.0)
+        assert not stats.is_alive()
 
     @pytest.mark.parametrize(
         "raw",

@@ -13,7 +13,7 @@ from repro.ddg.analysis import mii
 from repro.machine.config import parse_config
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.pipeline.driver import UnschedulableError
-from repro.pipeline.passes import LinearEscalation, find_min_ii
+from repro.pipeline.passes import find_min_ii
 from repro.pipeline.report import format_table
 from repro.schedule.ims import ims_schedule
 from repro.schedule.placed import build_placed_graph
@@ -26,8 +26,8 @@ II_RANGE = 64
 
 
 def min_ii(scheduler, ddg, machine) -> int | None:
-    """Smallest feasible II under one scheduler, searching with the
-    driver's shared :class:`LinearEscalation` policy."""
+    """Smallest feasible II under one scheduler, searching one II at a
+    time with the driver's shared :func:`find_min_ii`."""
     partitioner = MultilevelPartitioner(ddg=ddg, machine=machine)
     lo = mii(ddg, machine)
 
@@ -45,7 +45,7 @@ def min_ii(scheduler, ddg, machine) -> int | None:
         return scheduler(graph, machine, ii)
 
     try:
-        ii, _ = find_min_ii(attempt, lo, lo + II_RANGE - 1, LinearEscalation())
+        ii, _ = find_min_ii(attempt, lo, lo + II_RANGE - 1)
         return ii
     except UnschedulableError:
         return None

@@ -40,9 +40,7 @@ from repro.pipeline import (
     SchemeConfig,
     UnschedulableError,
     compile_loop,
-    register_scheme,
     run_pass_pipeline,
-    scheme_names,
 )
 from repro.schedule import Kernel, build_placed_graph
 from repro.sim import SimResult, simulate, verify_kernel
@@ -67,9 +65,7 @@ __all__ = [
     "SchemeConfig",
     "UnschedulableError",
     "compile_loop",
-    "register_scheme",
     "run_pass_pipeline",
-    "scheme_names",
     "Kernel",
     "build_placed_graph",
     "SimResult",

@@ -50,6 +50,7 @@ import time
 from repro.ddg import io as ddg_io
 from repro.ddg.graph import Ddg
 from repro.engine.jobs import resolve_machine
+from repro.machine.config import ConfigError
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.pipeline.metrics import benchmark_metrics, loop_metrics
 from repro.pipeline.report import format_table
@@ -74,9 +75,10 @@ def _loop(args: argparse.Namespace) -> Ddg:
     return ddg_io.load(args.loop)
 
 
+#: Every scheme name the CLI accepts: each :class:`Scheme` value plus
+#: two short aliases.
 _SCHEME_NAMES = {
-    "baseline": Scheme.BASELINE,
-    "replication": Scheme.REPLICATION,
+    **{scheme.value: scheme for scheme in Scheme},
     "macro": Scheme.MACRO_REPLICATION,
     "cloning": Scheme.VALUE_CLONING,
 }
@@ -88,44 +90,40 @@ def _scheme(args: argparse.Namespace) -> Scheme:
     return Scheme.BASELINE if args.no_replication else Scheme.REPLICATION
 
 
-def _scheme_label(scheme: "Scheme | str") -> str:
-    """Display / wire name of a built-in or registered scheme."""
-    return scheme.value if isinstance(scheme, Scheme) else scheme
+def _machine_name(name: str) -> str:
+    """``--machine``'s argparse type: a name that resolves, so a bad one
+    exits 2 with its :class:`ConfigError` message."""
+    try:
+        resolve_machine(name)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
-def _resolve_schemes(args: argparse.Namespace) -> "list[Scheme | str]":
-    """Resolve the bench scheme filter to compile-job scheme tokens.
+def _resolve_schemes(args: argparse.Namespace) -> list[Scheme]:
+    """Resolve ``bench --schemes`` to :class:`Scheme` members.
 
-    ``--schemes`` accepts comma-separated names and is repeatable; it
-    resolves CLI aliases (``macro``, ``cloning``) *and* any key in the
-    scheme registry (``repl-part``, test-registered variants), so new
-    schemes are benchable without touching this file. The legacy
-    ``--scheme`` flag appends its aliases. Unknown names raise
-    ``SystemExit(2)`` listing what is available.
+    ``--schemes`` accepts comma-separated names from
+    :data:`_SCHEME_NAMES` and is repeatable (default: baseline and
+    replication). An unknown name raises ``SystemExit(2)`` listing the
+    known ones.
     """
-    from repro.pipeline import scheme_names
-
-    names: list[str] = []
-    for chunk in getattr(args, "schemes", None) or []:
-        names.extend(name.strip() for name in chunk.split(",") if name.strip())
-    names.extend(getattr(args, "scheme", None) or [])
-    if not names:
-        names = ["baseline", "replication"]
-    registered = scheme_names()
-    resolved: list[Scheme | str] = []
+    names = [
+        name.strip()
+        for chunk in args.schemes or []
+        for name in chunk.split(",")
+        if name.strip()
+    ]
     for name in names:
-        if name in _SCHEME_NAMES:
-            resolved.append(_SCHEME_NAMES[name])
-        elif name in registered:
-            resolved.append(name)
-        else:
-            known = sorted(set(_SCHEME_NAMES) | set(registered))
+        if name not in _SCHEME_NAMES:
             print(
-                f"error: unknown scheme {name!r}; known: {', '.join(known)}",
+                f"error: unknown scheme {name!r}; "
+                f"known: {', '.join(sorted(_SCHEME_NAMES))}",
                 file=sys.stderr,
             )
             raise SystemExit(2)
-    return resolved
+    names = names or ["baseline", "replication"]
+    return [_SCHEME_NAMES[name] for name in names]
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -314,7 +312,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for bench in benchmarks:
         loops = suite_loops(bench, limit=limit)
         for machine_name in machines:
-            resolve_machine(machine_name)  # validate the config string early
             for scheme in schemes:
                 cells.append((bench, machine_name, scheme, loops, len(jobs)))
                 jobs.extend(
@@ -358,7 +355,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             [
                 bench,
                 machine_name,
-                _scheme_label(scheme),
+                scheme.value,
                 len(loops),
                 len(ok),
                 len(failed),
@@ -683,6 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--machine",
+            type=_machine_name,
             default="4c1b2l64r",
             help="wcxbylzr config or 'unified' (default: 4c1b2l64r)",
         )
@@ -714,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("suite", help="evaluate synthetic benchmarks")
-    p.add_argument("--machine", default="4c1b2l64r")
+    p.add_argument("--machine", type=_machine_name, default="4c1b2l64r")
     p.add_argument(
         "--benchmark",
         choices=BENCHMARK_ORDER,
@@ -724,13 +722,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=8, help="loops per benchmark")
     p.set_defaults(func=cmd_suite)
 
+    # No prefix matching: "--scheme" is not taken for "--schemes".
     p = sub.add_parser(
         "bench",
         help="benchmark x machine x scheme matrix via the parallel engine",
+        allow_abbrev=False,
     )
     p.add_argument(
         "--machine",
         action="append",
+        type=_machine_name,
         default=None,
         help="machine config; repeatable (default: 4c1b2l64r)",
     )
@@ -742,20 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark; repeatable (default: all)",
     )
     p.add_argument(
-        "--scheme",
-        action="append",
-        choices=sorted(_SCHEME_NAMES),
-        default=None,
-        help="compiler variant; repeatable (default: baseline + replication)",
-    )
-    p.add_argument(
         "--schemes",
         action="append",
         default=None,
         metavar="NAMES",
         help=(
-            "comma-separated scheme filter; accepts CLI aliases and any "
-            "registered scheme key (e.g. repl-part); repeatable"
+            f"comma-separated compiler variants ({', '.join(_SCHEME_NAMES)}); "
+            "repeatable (default: baseline,replication)"
         ),
     )
     p.add_argument(

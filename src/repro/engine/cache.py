@@ -94,8 +94,7 @@ from repro.ddg.graph import Ddg
 from repro.engine.jobs import ENGINE_SCHEMA_VERSION, resolve_machine
 from repro.machine.config import MachineConfig
 from repro.partition.partition import Partition
-from repro.pipeline.driver import CompileDiagnostics, CompileResult
-from repro.pipeline.passes import scheme_token
+from repro.pipeline.driver import CompileDiagnostics, CompileResult, Scheme
 from repro.schedule.kernel import Kernel, ScheduledOp
 from repro.schedule.placed import PlacementError, build_placed_graph
 from repro.schedule.scheduler import FailureCause
@@ -308,7 +307,7 @@ def decode_entry(raw: bytes, key: str, ddg: Ddg | None = None) -> CompileResult:
         mii=mii,
         ii=ii,
         causes=[FailureCause(cause) for cause in entry["causes"]],
-        scheme=scheme_token(entry["scheme"]),
+        scheme=Scheme(entry["scheme"]),
         diagnostics=(
             None if diagnostics is None else CompileDiagnostics(**diagnostics)
         ),

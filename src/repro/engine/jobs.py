@@ -22,7 +22,12 @@ import json
 
 from repro.ddg import io as ddg_io
 from repro.ddg.graph import Ddg
-from repro.machine.config import MachineConfig, parse_config, unified_machine
+from repro.machine.config import (
+    ConfigError,
+    MachineConfig,
+    parse_config,
+    unified_machine,
+)
 from repro.pipeline.driver import (
     CompileError,
     CompileResult,
@@ -30,7 +35,6 @@ from repro.pipeline.driver import (
     UnschedulableError,
     compile_loop,
 )
-from repro.pipeline.passes import scheme_token
 from repro.sim.verifier import VerificationError, verify_kernel
 
 #: Bump to invalidate every cached result (hash input + payload check).
@@ -129,10 +133,9 @@ class CompileJob:
     Attributes:
         ddg: the loop body.
         machine: machine config name (``wcxbylzr`` or ``"unified"``).
-        scheme: compiler variant — a :class:`Scheme` member or the
-            registry key of any scheme registered with
-            :func:`repro.pipeline.passes.register_scheme` (both forms
-            of the same scheme hash identically).
+        scheme: compiler variant — a :class:`Scheme` member or its
+            value (both forms of one scheme hash identically). A name
+            no member has ends the job ``INVALID_INPUT``.
         length_replication: run the section 5.1 pass as well.
         copy_latency_override: section 5.1's zero-latency upper bound.
         spare_comms: over-replication ablation knob (0 = paper).
@@ -152,7 +155,8 @@ class CompileJob:
 
     @property
     def scheme_key(self) -> str:
-        """Registry key naming the scheme (hash- and wire-stable)."""
+        """The scheme's name, its :class:`Scheme` value (hash- and
+        wire-stable)."""
         return (
             self.scheme.value if isinstance(self.scheme, Scheme) else self.scheme
         )
@@ -203,7 +207,7 @@ class CompileJob:
         return CompileJob(
             ddg=ddg_io.from_dict(payload["ddg"]),
             machine=payload["machine"],
-            scheme=scheme_token(payload["scheme"]),
+            scheme=payload["scheme"],
             length_replication=flags["length_replication"],
             copy_latency_override=flags["copy_latency_override"],
             spare_comms=flags["spare_comms"],
@@ -267,7 +271,9 @@ def run_job(job: CompileJob, key: str | None = None) -> JobResult:
     """Execute one job in-process, catching compile failures.
 
     Timeouts are the executor's concern; this helper converts
-    :class:`CompileError` into a structured ``ERROR`` result, and runs
+    :class:`CompileError` and a machine name that does not resolve
+    (:class:`~repro.machine.config.ConfigError`) into a structured
+    ``ERROR`` result, and runs
     :func:`~repro.sim.verifier.verify_kernel` on every kernel, so an
     illegal one ends as ``ILLEGAL_KERNEL`` and never reaches a cache.
     """
@@ -283,7 +289,7 @@ def run_job(job: CompileJob, key: str | None = None) -> JobResult:
             error=str(exc),
             error_kind=ErrorKind.UNSCHEDULABLE,
         )
-    except CompileError as exc:
+    except (CompileError, ConfigError) as exc:
         return JobResult(
             key=key,
             tag=job.tag,

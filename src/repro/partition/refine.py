@@ -37,7 +37,8 @@ from repro.partition.partition import Partition
 _DEFAULT_MOVE_BUDGET = 64
 
 #: Upper bound on replicas granted per replicating refinement call; the
-#: pipeline overrides it from ``SchemeConfig.partition_replication_budget``.
+#: pipeline passes each scheme's budget from its row in
+#: ``repro.pipeline.passes.PLAN_PASSES``.
 _DEFAULT_REPLICATION_BUDGET = 8
 
 

@@ -1,12 +1,13 @@
 """End-to-end compilation pipeline and evaluation metrics.
 
-:mod:`repro.pipeline.passes` decomposes Figure 2's loop into a
-composable pass pipeline — partition, bus feasibility, a
-scheme-specific planning pass, placement, scheduling — run under an
-:class:`~repro.pipeline.passes.IIEscalationPolicy`, with compiler
-variants held in a string-keyed scheme registry.
+:mod:`repro.pipeline.passes` decomposes Figure 2's loop into one pass
+stack — partition, feasibility, a scheme-specific planning pass,
+placement, scheduling — whose II climbs by
+:func:`~repro.pipeline.passes.next_ii` after each failed attempt; the
+closed table :data:`~repro.pipeline.passes.PLAN_PASSES` gives each
+:class:`~repro.pipeline.driver.Scheme` member its planning pass.
 :func:`~repro.pipeline.driver.compile_loop` is the stable entry point
-over that registry and returns a
+and returns a
 :class:`~repro.pipeline.driver.CompileResult` carrying the kernel, the
 cause of every II increase (Figure 1's statistics) and per-stage
 diagnostics. :mod:`repro.pipeline.metrics` turns kernels plus loop
@@ -23,19 +24,15 @@ from repro.pipeline.driver import (
     compile_loop,
 )
 from repro.pipeline.passes import (
+    PLAN_PASSES,
     CompilationContext,
-    IIEscalationPolicy,
-    JumpEscalation,
-    LinearEscalation,
     Pass,
     SchemeConfig,
     StageFailure,
-    build_pass_stack,
     find_min_ii,
-    register_scheme,
+    next_ii,
+    pass_stack,
     run_pass_pipeline,
-    scheme_names,
-    unregister_scheme,
 )
 from repro.pipeline.metrics import (
     AddedInstructionStats,
@@ -48,7 +45,6 @@ from repro.pipeline.metrics import (
     harmonic_mean,
     loop_metrics,
 )
-from repro.pipeline.replpart import REPL_PART  # registers "repl-part"
 from repro.pipeline.report import format_table
 
 __all__ = [
@@ -58,19 +54,15 @@ __all__ = [
     "Scheme",
     "UnschedulableError",
     "compile_loop",
+    "PLAN_PASSES",
     "CompilationContext",
-    "IIEscalationPolicy",
-    "JumpEscalation",
-    "LinearEscalation",
     "Pass",
     "SchemeConfig",
     "StageFailure",
-    "build_pass_stack",
     "find_min_ii",
-    "register_scheme",
+    "next_ii",
+    "pass_stack",
     "run_pass_pipeline",
-    "scheme_names",
-    "unregister_scheme",
     "AddedInstructionStats",
     "BenchmarkMetrics",
     "CommStats",
@@ -80,6 +72,5 @@ __all__ = [
     "comm_stats",
     "harmonic_mean",
     "loop_metrics",
-    "REPL_PART",
     "format_table",
 ]

@@ -1,23 +1,22 @@
 """Figure 2's compilation loop as a thin facade over the pass pipeline.
 
-The actual work lives in :mod:`repro.pipeline.passes`: each compiler
-variant ("scheme") is a registered *pass stack* — partition, bus
-feasibility, a scheme-specific replication-planning pass, optional
-section 5.1 length replication, placement, modulo scheduling — run by a
-generic driver loop that starts at II = MII, escalates the II through
-an :class:`~repro.pipeline.passes.IIEscalationPolicy` whenever a pass
-raises a typed failure, and records one :class:`FailureCause` per
-escalation (Figure 1's breakdown of why the II grows beyond the MII).
+The actual work lives in :mod:`repro.pipeline.passes`: every compiler
+variant ("scheme") runs one *pass stack* — partition, feasibility, the
+scheme's replication-planning pass, optional section 5.1 length
+replication, placement, modulo scheduling — under a driver loop that
+starts at II = MII, picks the next II with
+:func:`~repro.pipeline.passes.next_ii` whenever a pass raises a typed
+failure, and records one :class:`FailureCause` per escalation (Figure
+1's breakdown of why the II grows beyond the MII).
 
-This module keeps the stable public surface: the :class:`Scheme` enum
-naming the four built-in stacks, :func:`compile_loop` (the historical
+This module keeps the stable public surface: the closed :class:`Scheme`
+enum naming the five schemes, :func:`compile_loop` (the historical
 entry point, now a wrapper that folds its keyword flags into a
-:class:`~repro.pipeline.passes.SchemeConfig` and dispatches through the
-scheme registry), the :class:`CompileResult` value object, and the
-error taxonomy (:class:`CompileError` for bad inputs,
-:class:`UnschedulableError` for II-bound exhaustion). New variants
-register a pass stack with :func:`repro.pipeline.passes.register_scheme`
-instead of editing this file.
+:class:`~repro.pipeline.passes.SchemeConfig`), the
+:class:`CompileResult` value object, and the error taxonomy
+(:class:`CompileError` for bad inputs, :class:`UnschedulableError` for
+II-bound exhaustion). A new scheme is a new :class:`Scheme` member plus
+its row in :data:`repro.pipeline.passes.PLAN_PASSES`.
 """
 
 from __future__ import annotations
@@ -47,19 +46,23 @@ class UnschedulableError(CompileError):
 
 
 class Scheme(enum.Enum):
-    """Which built-in compiler variant to run.
+    """Which compiler variant to run.
 
     BASELINE and REPLICATION are the paper's two bars; MACRO_REPLICATION
     is the section 5.2 alternative; VALUE_CLONING is the Kuras et al.
     related-work baseline (clone only root values and induction
-    variables). Each value doubles as the key of the corresponding pass
-    stack in the :mod:`repro.pipeline.passes` scheme registry.
+    variables); REPL_PART lets the partitioner grant replicas during
+    refinement, which the section 3 replicator then tops up. Each value
+    is the scheme's name on the command line, in job keys and in store
+    entries; :data:`repro.pipeline.passes.PLAN_PASSES` gives each member
+    its planning pass.
     """
 
     BASELINE = "baseline"
     REPLICATION = "replication"
     MACRO_REPLICATION = "macro_replication"
     VALUE_CLONING = "value_cloning"
+    REPL_PART = "repl-part"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Scheme.{self.name}"
@@ -111,9 +114,7 @@ class CompileResult:
         mii: the loop's minimum initiation interval.
         ii: the achieved initiation interval.
         causes: one :class:`FailureCause` per II increase along the way.
-        scheme: which compiler variant produced this result — a
-            :class:`Scheme` member for the built-in stacks, the registry
-            key string for schemes registered at runtime.
+        scheme: which compiler variant produced this result.
         diagnostics: per-stage wall time, the full II trajectory and the
             compile's effort counters (None only for results built by
             hand).
@@ -125,7 +126,7 @@ class CompileResult:
     mii: int
     ii: int
     causes: list[FailureCause]
-    scheme: Scheme | str
+    scheme: Scheme
     diagnostics: CompileDiagnostics | None = None
 
     @property
@@ -135,8 +136,8 @@ class CompileResult:
 
     @property
     def scheme_name(self) -> str:
-        """Registry key of the scheme that produced this result."""
-        return self.scheme.value if isinstance(self.scheme, Scheme) else self.scheme
+        """Name (the :class:`Scheme` value) of the producing scheme."""
+        return self.scheme.value
 
 
 def compile_loop(
@@ -147,19 +148,17 @@ def compile_loop(
     copy_latency_override: int | None = None,
     max_ii: int | None = None,
     spare_comms: int = 0,
-    escalation=None,
 ) -> CompileResult:
     """Compile one loop for one machine; see the module docstring.
 
-    Back-compat wrapper over the scheme registry: the keyword flags are
-    folded into a :class:`~repro.pipeline.passes.SchemeConfig` and the
-    scheme's registered pass stack is run by
-    :func:`repro.pipeline.passes.run_pass_pipeline`.
+    Back-compat wrapper: the keyword flags are folded into a
+    :class:`~repro.pipeline.passes.SchemeConfig` and the scheme's pass
+    stack is run by :func:`repro.pipeline.passes.run_pass_pipeline`.
 
     Args:
         ddg: the loop body.
         machine: the target machine.
-        scheme: a :class:`Scheme` member or any registered scheme name.
+        scheme: a :class:`Scheme` member or its value.
         length_replication: additionally run the section 5.1 pass.
         copy_latency_override: section 5.1's zero-latency upper bound.
         max_ii: II safety bound (defaults to a generous multiple of the
@@ -167,14 +166,12 @@ def compile_loop(
         spare_comms: REPLICATION only — keep removing communications
             this far beyond the paper's stop rule (over-replication
             ablation; 0 reproduces the paper).
-        escalation: an :class:`~repro.pipeline.passes.IIEscalationPolicy`
-            (default: the suggested-II jump policy).
 
     Raises:
         UnschedulableError: when no II within the bound yields a
             schedule.
         CompileError: when the input cannot be compiled at all (e.g. an
-            empty loop).
+            empty loop or an unknown scheme name).
     """
     from repro.pipeline.passes import SchemeConfig, run_pass_pipeline
 
@@ -189,5 +186,4 @@ def compile_loop(
         scheme,
         config=config,
         max_ii=max_ii,
-        escalation=escalation,
     )

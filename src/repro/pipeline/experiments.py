@@ -150,13 +150,16 @@ def _compile_entry(
 def _entry_for(
     benchmark: str,
     machine: MachineConfig,
-    scheme: Scheme,
+    scheme: Scheme | str,
     limit: int | None = None,
     length_replication: bool = False,
     copy_latency_override: int | None = None,
 ) -> _SuiteEntry:
+    """One memo entry per cell; a scheme named by member or by value
+    is one cell."""
     if limit is None:
         limit = configured_limit()
+    scheme = Scheme(scheme)
     key = _Key(
         benchmark=benchmark,
         machine=machine.name,

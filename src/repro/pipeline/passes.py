@@ -1,4 +1,4 @@
-"""The Figure 2 driver decomposed into a composable pass pipeline.
+"""The Figure 2 driver as one pass pipeline.
 
 One compilation is a *pass stack* run repeatedly by
 :func:`run_pass_pipeline`: starting at II = MII, the stack's passes each
@@ -6,9 +6,8 @@ mutate a shared :class:`CompilationContext` (partition, replication
 plan, placed graph, kernel); any pass may abort the attempt with a
 typed :class:`StageFailure` (or let a
 :class:`~repro.schedule.scheduler.ScheduleFailure` propagate), upon
-which the driver records the cause, asks its
-:class:`IIEscalationPolicy` for the next II and retries. Per-pass wall
-time and the II trajectory accumulate in
+which the driver records the cause, asks :func:`next_ii` for the next
+II and retries. Per-pass wall time and the II trajectory accumulate in
 :class:`~repro.pipeline.driver.CompileDiagnostics` on the result.
 
 Each compile counts its effort into its own
@@ -16,20 +15,12 @@ Each compile counts its effort into its own
 :func:`run_pass_pipeline` makes current for the whole call (``mii()``
 included), so code no compile argument reaches counts into it too.
 
-Compiler variants are *registered*, not hard-coded: the string-keyed
-scheme registry maps a name to a builder that assembles a pass stack
-from a :class:`SchemeConfig`. The four paper schemes (``baseline``,
-``replication``, ``macro_replication``, ``value_cloning``) ship
-pre-registered; new variants — an SMT pipeliner, a generalized
-replication-partitioning scheme — drop in via :func:`register_scheme`
-without touching the driver:
-
-    def build_my_scheme(config: SchemeConfig) -> list[Pass]:
-        return [PartitionPass(), BusFeasibilityPass(), MyPlanPass(),
-                PlacePass(), SchedulePass()]
-
-    register_scheme("my_scheme", build_my_scheme)
-    result = run_pass_pipeline(ddg, machine, "my_scheme")
+Every scheme runs one stack shape, built by :func:`pass_stack`:
+partition, feasibility, the scheme's planning pass, optional section
+5.1 length replication, placement, scheduling. The closed table
+:data:`PLAN_PASSES` gives each :class:`~repro.pipeline.driver.Scheme`
+member its planning pass and the replicas its partitioner may grant
+during refinement; a new scheme is a new member plus a new row.
 """
 
 from __future__ import annotations
@@ -45,6 +36,7 @@ from repro.core.macro import macro_replicate
 from repro.core.plan import EMPTY_PLAN, ReplicationPlan
 from repro.core.replicator import replicate
 from repro.ddg.analysis import mii
+from repro.ddg.csr import FU_KINDS, ReplicaView, csr_view
 from repro.ddg.graph import Ddg
 from repro.machine.config import MachineConfig
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -69,8 +61,8 @@ class StageFailure(Exception):
 
     Mirrors :class:`~repro.schedule.scheduler.ScheduleFailure` (which
     passes may also raise/propagate): ``cause`` feeds the Figure 1
-    statistics, ``suggested_ii`` (when set) lets a jump escalation
-    policy skip ahead.
+    statistics, ``suggested_ii`` (when set) lets :func:`next_ii` skip
+    ahead.
     """
 
     cause: FailureCause
@@ -95,15 +87,11 @@ class SchemeConfig:
             (COPY dependence latency replacement; buses still reserved).
         spare_comms: replication only — keep removing communications
             this far beyond the paper's stop rule (0 = paper).
-        partition_replication_budget: ``repl-part`` only — maximum
-            replicas the partitioner may grant *during* refinement
-            (the post-pass replicator then tops up without limit).
     """
 
     length_replication: bool = False
     copy_latency_override: int | None = None
     spare_comms: int = 0
-    partition_replication_budget: int = 8
 
 
 @dataclasses.dataclass
@@ -117,9 +105,10 @@ class CompilationContext:
     Per-attempt products (``partition``, ``plan``, ``graph``,
     ``kernel``, ``pre_replicas``) are cleared by :meth:`begin_attempt`.
 
-    ``pre_replicas`` carries replicas a partitioning pass granted during
-    refinement (the ``repl-part`` scheme) forward to the planning pass,
-    which folds them into its starting state as already granted.
+    ``pre_replicas`` carries replicas the partition pass granted during
+    refinement (the ``repl-part`` scheme) forward to the feasibility and
+    planning passes; the planning pass folds them into its starting
+    state as already granted.
 
     ``metrics`` is the compilation's typed effort registry (see
     :mod:`repro.obs.metrics`), current for the whole compile: passes
@@ -172,7 +161,7 @@ class Pass(Protocol):
     def run(self, ctx: CompilationContext) -> None: ...
 
 
-#: The ``partition.*`` counters every partitioning pass reports, zeros
+#: The ``partition.*`` counters the partition pass reports, zeros
 #: included. A snapshot lists only instruments that exist, and a compile
 #: on an unclustered machine never refines, while one over a warm
 #: analysis memo may never prefill.
@@ -208,46 +197,63 @@ REPLICATE_COUNTERS = (
 )
 
 
-def declare_partition_counters(ctx: CompilationContext) -> None:
-    """Register every ``partition.*`` instrument of the compile at zero.
-
-    Shared by every partitioning pass (plain and replicating).
-    """
-    for name in PARTITION_COUNTERS:
-        ctx.metrics.counter(name)
-    ctx.metrics.gauge("partition.moves.replicas_surviving")
-
-
 class PartitionPass:
-    """Multilevel-partition the DDG at the current II."""
+    """Multilevel-partition the DDG at the current II.
+
+    Refinement may also grant up to ``budget`` replicas
+    (:func:`~repro.partition.refine.refine_replicating`); the grants
+    ride ``ctx.pre_replicas`` to the later passes. At budget 0 this is
+    the call :meth:`MultilevelPartitioner.partition` makes.
+    """
 
     name = "partition"
 
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+
     def run(self, ctx: CompilationContext) -> None:
-        declare_partition_counters(ctx)
-        ctx.partition = ctx.partitioner.partition(ctx.ii)
+        for name in PARTITION_COUNTERS:
+            ctx.metrics.counter(name)
+        ctx.metrics.gauge("partition.moves.replicas_surviving")
+        ctx.partition, grants = ctx.partitioner.partition_replicating(
+            ctx.ii, replication_budget=self.budget
+        )
+        if grants:
+            ctx.pre_replicas = ReplicationPlan(
+                replicas=dict(grants), initial_coms=0, feasible=True
+            )
 
 
-class BusFeasibilityPass:
+class FeasibilityPass:
     """Reject IIs the partition's resource/bus usage cannot meet.
 
-    When communications also overload the machine at this II, the bus
-    is the binding constraint (Figure 1's taxonomy); otherwise the raw
-    FU counts are.
+    Loads and communications count the partitioner's granted replicas
+    (:class:`~repro.ddg.csr.ReplicaView`): a replica takes an issue
+    slot and feeds its cluster's consumers locally. When communications
+    also overload the machine at this II, the bus is the binding
+    constraint (Figure 1's taxonomy); otherwise the raw FU counts are.
     """
 
     name = "feasibility"
 
     def run(self, ctx: CompilationContext) -> None:
         partition, machine = ctx.partition, ctx.machine
-        resource_ii = partition.min_resource_ii(machine)
+        grants = ctx.pre_replicas.replicas if ctx.pre_replicas is not None else {}
+        csr = csr_view(partition.ddg)
+        view = ReplicaView.from_replicas(csr, grants)
+        cluster = [partition.cluster_of(uid) for uid in csr.uids]
+        units = [
+            [machine.fu_count(c, kind) for kind in FU_KINDS]
+            for c in machine.cluster_ids()
+        ]
+        resource_ii = view.min_resource_ii(cluster, units)
         if resource_ii <= ctx.ii:
             return
-        bus_bound = (
-            machine.is_clustered and partition.ii_part(machine) >= resource_ii
-        )
+        coms = view.nof_coms(cluster) if machine.is_clustered else 0
+        bus = machine.bus
+        ii_part = bus.latency * -(-coms // bus.count) if coms else 0
         raise StageFailure(
-            FailureCause.BUS if bus_bound else FailureCause.RESOURCES,
+            FailureCause.BUS if ii_part >= resource_ii else FailureCause.RESOURCES,
             f"partition needs II >= {resource_ii} at II={ctx.ii}",
         )
 
@@ -328,9 +334,7 @@ class LengthReplicationPass:
     name = "length"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.plan = replicate_for_length(
-            ctx.partition, ctx.machine, ctx.ii, ctx.plan
-        )
+        ctx.plan = replicate_for_length(ctx.partition, ctx.machine, ctx.ii, ctx.plan)
 
 
 class PlacePass:
@@ -339,9 +343,7 @@ class PlacePass:
     name = "place"
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.graph = build_placed_graph(
-            ctx.ddg, ctx.partition, ctx.machine, ctx.plan
-        )
+        ctx.graph = build_placed_graph(ctx.ddg, ctx.partition, ctx.machine, ctx.plan)
 
 
 class SchedulePass:
@@ -359,138 +361,50 @@ class SchedulePass:
         )
 
 
-# ----------------------------------------------------------------------
-# II escalation policies
-# ----------------------------------------------------------------------
+#: Each scheme's planning pass and the replicas its partitioner may
+#: grant during refinement. Only ``repl-part`` grants any; its planning
+#: pass then tops up without limit.
+PLAN_PASSES: dict[Scheme, tuple[type[Pass], int]] = {
+    Scheme.BASELINE: (BaselinePlanPass, 0),
+    Scheme.REPLICATION: (ReplicatePlanPass, 0),
+    Scheme.MACRO_REPLICATION: (MacroReplicatePlanPass, 0),
+    Scheme.VALUE_CLONING: (ValueCloningPlanPass, 0),
+    Scheme.REPL_PART: (ReplicatePlanPass, 8),
+}
 
 
-class IIEscalationPolicy:
-    """How the driver picks the next II after a failed attempt."""
-
-    def next_ii(self, ii: int, failure: Exception) -> int:
-        """Next II to try (must return > ``ii``)."""
-        raise NotImplementedError
-
-
-class LinearEscalation(IIEscalationPolicy):
-    """Always step by one — the paper's literal Figure 2 loop, and the
-    search rule of the :mod:`repro.schedule.ims` scheduler ablation."""
-
-    def next_ii(self, ii: int, failure: Exception) -> int:
-        return ii + 1
-
-
-@dataclasses.dataclass(frozen=True)
-class JumpEscalation(IIEscalationPolicy):
-    """Jump toward a failure's estimated feasible II, capped.
-
-    The estimate (``suggested_ii``, e.g. from the register-pressure
-    model) is a heuristic, so jumps are capped at ``cap_factor * ii``.
-    One failure event = one recorded cause, however far the jump goes.
-    """
-
-    cap_factor: int = 4
-
-    def next_ii(self, ii: int, failure: Exception) -> int:
-        suggested = getattr(failure, "suggested_ii", None)
-        if suggested is not None and suggested > ii:
-            return max(ii + 1, min(suggested, self.cap_factor * ii))
-        return ii + 1
-
-
-#: The driver default: jump when the scheduler can estimate, else +1.
-DEFAULT_ESCALATION = JumpEscalation()
-
-
-# ----------------------------------------------------------------------
-# Scheme registry
-# ----------------------------------------------------------------------
-
-#: A scheme is a function assembling a pass stack from its config.
-PassStackBuilder = Callable[[SchemeConfig], "list[Pass]"]
-
-_SCHEMES: dict[str, PassStackBuilder] = {}
-
-
-def register_scheme(
-    name: str, builder: PassStackBuilder, replace: bool = False
-) -> None:
-    """Register a compiler variant under a string key.
-
-    Args:
-        name: registry key (also usable as ``compile_loop``'s scheme).
-        builder: assembles the pass stack for one compilation.
-        replace: allow overriding an existing registration.
-
-    Raises:
-        ValueError: the name is taken and ``replace`` is False.
-    """
-    if not replace and name in _SCHEMES:
-        raise ValueError(f"scheme {name!r} is already registered")
-    _SCHEMES[name] = builder
-
-
-def unregister_scheme(name: str) -> None:
-    """Remove a registered variant (tests clean up after themselves)."""
-    _SCHEMES.pop(name, None)
-
-
-def scheme_names() -> list[str]:
-    """Registered scheme keys, in registration order."""
-    return list(_SCHEMES)
-
-
-def build_pass_stack(name: str, config: SchemeConfig) -> list[Pass]:
-    """Assemble the registered pass stack for ``name``.
-
-    Raises:
-        CompileError: unknown scheme (names the registered ones).
-    """
-    builder = _SCHEMES.get(name)
-    if builder is None:
-        raise CompileError(
-            f"unknown scheme {name!r}; registered: {', '.join(_SCHEMES)}"
-        )
-    return builder(config)
-
-
-def standard_stack(plan_pass: Pass, config: SchemeConfig) -> list[Pass]:
-    """The shared stack shape around a scheme's planning pass."""
-    stack: list[Pass] = [PartitionPass(), BusFeasibilityPass(), plan_pass]
+def pass_stack(scheme: Scheme, config: SchemeConfig) -> list[Pass]:
+    """The pass stack that compiles ``scheme`` under ``config``."""
+    plan_pass, budget = PLAN_PASSES[scheme]
+    stack: list[Pass] = [PartitionPass(budget), FeasibilityPass(), plan_pass()]
     if config.length_replication:
         stack.append(LengthReplicationPass())
     stack.extend([PlacePass(), SchedulePass()])
     return stack
 
 
-register_scheme(
-    Scheme.BASELINE.value, lambda config: standard_stack(BaselinePlanPass(), config)
-)
-register_scheme(
-    Scheme.REPLICATION.value,
-    lambda config: standard_stack(ReplicatePlanPass(), config),
-)
-register_scheme(
-    Scheme.MACRO_REPLICATION.value,
-    lambda config: standard_stack(MacroReplicatePlanPass(), config),
-)
-register_scheme(
-    Scheme.VALUE_CLONING.value,
-    lambda config: standard_stack(ValueCloningPlanPass(), config),
-)
+#: How far one failure may raise the II: at most this factor times the
+#: failing II, since a suggested II (e.g. from the register-pressure
+#: model) is a heuristic.
+JUMP_CAP = 4
+
+
+def next_ii(ii: int, failure: Exception) -> int:
+    """The II to try after ``failure`` at ``ii``.
+
+    Jumps toward the failure's ``suggested_ii`` when it lies above
+    ``ii``, capped at :data:`JUMP_CAP` times ``ii``; otherwise steps by
+    one. One failure records one cause, however far the jump goes.
+    """
+    suggested = getattr(failure, "suggested_ii", None)
+    if suggested is not None and suggested > ii:
+        return max(ii + 1, min(suggested, JUMP_CAP * ii))
+    return ii + 1
 
 
 # ----------------------------------------------------------------------
 # The driver loop
 # ----------------------------------------------------------------------
-
-
-def scheme_token(name: str) -> Scheme | str:
-    """Stamp built-in schemes as enum members, custom ones as strings."""
-    try:
-        return Scheme(name)
-    except ValueError:
-        return name
 
 
 def run_pass_pipeline(
@@ -499,13 +413,12 @@ def run_pass_pipeline(
     scheme: Scheme | str = Scheme.REPLICATION,
     config: SchemeConfig | None = None,
     max_ii: int | None = None,
-    escalation: IIEscalationPolicy | None = None,
 ) -> CompileResult:
     """Run a scheme's pass stack under the Figure 2 retry loop.
 
     Starting at II = MII, the stack runs pass by pass (each timed into
-    the result's diagnostics); a failing pass records its cause and the
-    escalation policy picks the next II, up to the safety bound.
+    the result's diagnostics); a failing pass records its cause and
+    :func:`next_ii` picks the next II, up to the safety bound.
 
     The compile counts into a fresh registry, current for the whole
     call (``mii()`` included); its snapshot is ``diagnostics.counters``.
@@ -514,12 +427,15 @@ def run_pass_pipeline(
         UnschedulableError: no II within the bound yielded a schedule.
         CompileError: empty loop or unknown scheme.
     """
-    name = scheme.value if isinstance(scheme, Scheme) else str(scheme)
     if len(ddg) == 0:
         raise CompileError(f"loop {ddg.name!r} is empty")
+    try:
+        scheme = Scheme(scheme)
+    except ValueError:
+        known = ", ".join(member.value for member in Scheme)
+        raise CompileError(f"unknown scheme {scheme!r}; known: {known}") from None
     config = config if config is not None else SchemeConfig()
-    escalation = escalation if escalation is not None else DEFAULT_ESCALATION
-    stack = build_pass_stack(name, config)
+    stack = pass_stack(scheme, config)
 
     metrics = MetricsRegistry()
     with use_registry(metrics):
@@ -538,20 +454,19 @@ def run_pass_pipeline(
         # into ddg.kernel_calls and fails a traced run that lacks it.
         metrics.gauge("kernels.numpy_calls")
         bound = max_ii if max_ii is not None else 16 * loop_mii + 4 * len(ddg) + 64
-        return _attempt_loop(ctx, stack, name, bound, escalation)
+        return _attempt_loop(ctx, stack, scheme, bound)
 
 
 def _attempt_loop(
     ctx: CompilationContext,
     stack: list[Pass],
-    name: str,
+    scheme: Scheme,
     bound: int,
-    escalation: IIEscalationPolicy,
 ) -> CompileResult:
     """Figure 2's retry loop: run the stack from II = MII up to ``bound``."""
     ii = ctx.mii
     with obs_span(
-        "pipeline.compile", loop=ctx.ddg.name, scheme=name, mii=ctx.mii
+        "pipeline.compile", loop=ctx.ddg.name, scheme=scheme.value, mii=ctx.mii
     ) as compile_span:
         while ii <= bound:
             ctx.begin_attempt(ii)
@@ -574,7 +489,7 @@ def _attempt_loop(
                     attempt_span.set(failed=caught.cause.value)
             if failure is not None:
                 ctx.causes.append(failure.cause)
-                ii = escalation.next_ii(ii, failure)
+                ii = next_ii(ii, failure)
                 continue
             compile_span.set(ii=ii, attempts=len(ctx.diagnostics.ii_trajectory))
             ctx.diagnostics.counters = ctx.metrics.snapshot()
@@ -585,7 +500,7 @@ def _attempt_loop(
                 mii=ctx.mii,
                 ii=ii,
                 causes=ctx.causes,
-                scheme=scheme_token(name),
+                scheme=scheme,
                 diagnostics=ctx.diagnostics,
             )
         raise UnschedulableError(
@@ -595,28 +510,22 @@ def _attempt_loop(
 
 
 def find_min_ii(
-    attempt: Callable[[int], object],
-    lo: int,
-    bound: int,
-    escalation: IIEscalationPolicy | None = None,
+    attempt: Callable[[int], object], lo: int, bound: int
 ) -> tuple[int, object]:
-    """Search upward for the smallest II an attempt function accepts.
+    """Search upward, one II at a time, for the smallest II accepted.
 
     ``attempt(ii)`` returns any result or raises a
     :class:`StageFailure`/:class:`~repro.schedule.scheduler.
-    ScheduleFailure`; the escalation policy (default
-    :class:`LinearEscalation`) picks each next II. Shared by the
-    scheduler-ablation harnesses (one-pass vs :mod:`repro.schedule.ims`)
-    so both schedulers search identically.
+    ScheduleFailure`. Shared by the scheduler-ablation harnesses
+    (one-pass vs :mod:`repro.schedule.ims`) so both schedulers search
+    identically.
 
     Raises:
         UnschedulableError: nothing in ``[lo, bound]`` was accepted.
     """
-    escalation = escalation if escalation is not None else LinearEscalation()
-    ii = lo
-    while ii <= bound:
+    for ii in range(lo, bound + 1):
         try:
             return ii, attempt(ii)
-        except ATTEMPT_FAILURES as failure:
-            ii = escalation.next_ii(ii, failure)
+        except ATTEMPT_FAILURES:
+            continue
     raise UnschedulableError(f"no feasible II in [{lo}, {bound}]")

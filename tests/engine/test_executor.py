@@ -1,5 +1,6 @@
 """Executor edge cases: serial parity, timeouts, retries, corruption."""
 
+import dataclasses
 import io
 import os
 import pickle
@@ -137,6 +138,20 @@ class TestFailureIsolation:
         assert results[0].ok and results[2].ok
         assert results[1].outcome is Outcome.ERROR
         assert "hollow" in results[1].error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_machine_name_fails_only_its_job(self, workers):
+        """In-process and on the pool, a machine name that does not
+        resolve ends its own job as bad input; its batch mate compiles."""
+        _, jobs = suite_jobs("mgrid", limit=1)
+        bogus = dataclasses.replace(jobs[0], machine="bogus", tag="bogus")
+        results = run_jobs(
+            [bogus, jobs[0]], EngineConfig(jobs=workers, cache=no_cache())
+        )
+        assert results[0].outcome is Outcome.ERROR
+        assert results[0].error_kind is ErrorKind.INVALID_INPUT
+        assert "bad machine name 'bogus'" in results[0].error
+        assert results[1].ok
 
     def test_worker_death_degrades_to_error(self, monkeypatch):
         """A dying worker process is retried once, then reported."""

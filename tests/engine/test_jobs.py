@@ -244,6 +244,12 @@ class TestErrorKinds:
         assert result.outcome is Outcome.ERROR
         assert result.error_kind is ErrorKind.INVALID_INPUT
 
+    def test_bad_machine_name_is_invalid_input(self):
+        result = run_job(job(machine="bogus"))
+        assert result.outcome is Outcome.ERROR
+        assert result.error_kind is ErrorKind.INVALID_INPUT
+        assert "bad machine name 'bogus'" in result.error
+
 
 class TestResolveMachine:
     def test_one_name_resolves_to_one_object(self):

@@ -8,12 +8,7 @@ from repro.engine.jobs import CompileJob
 from repro.obs import spans as obs
 from repro.obs.summary import aggregate
 from repro.pipeline.driver import Scheme, compile_loop
-from repro.pipeline.passes import (
-    CompilationContext,
-    register_scheme,
-    run_pass_pipeline,
-    unregister_scheme,
-)
+from repro.pipeline.passes import run_pass_pipeline
 from repro.workloads.patterns import stencil5
 from repro.workloads.specfp import benchmark_loops
 
@@ -59,25 +54,15 @@ class TestPipelineSpans:
             # within the bookkeeping overhead around the clock calls.
             assert span_total == pytest.approx(seconds, rel=0.25, abs=2e-3)
 
-    def test_raising_pass_closes_its_span_with_error(self, tracing):
-        class ExplodingPass:
-            name = "explode"
+    def test_raising_pass_closes_its_span_with_error(self, tracing, monkeypatch):
+        def explode(*args, **kwargs):
+            raise RuntimeError("not a StageFailure")
 
-            def run(self, ctx: CompilationContext) -> None:
-                raise RuntimeError("not a StageFailure")
-
-        register_scheme(
-            "exploding",
-            lambda config: [ExplodingPass()],
-            replace=True,
-        )
-        try:
-            with pytest.raises(RuntimeError):
-                run_pass_pipeline(stencil5(), machine(), "exploding")
-        finally:
-            unregister_scheme("exploding")
+        monkeypatch.setattr("repro.pipeline.passes.schedule", explode)
+        with pytest.raises(RuntimeError):
+            run_pass_pipeline(stencil5(), machine(), Scheme.REPLICATION)
         spans = {s.name: s for s in tracing.drain()}
-        assert spans["pass.explode"].error is True
+        assert spans["pass.schedule"].error is True
         assert spans["pipeline.attempt"].error is True
         assert spans["pipeline.compile"].error is True
 

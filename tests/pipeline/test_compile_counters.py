@@ -7,7 +7,6 @@ import threading
 
 from repro.machine.config import parse_config, unified_machine
 from repro.pipeline.driver import Scheme, compile_loop
-from repro.pipeline.replpart import REPL_PART
 from repro.workloads.patterns import daxpy
 from repro.workloads.specfp import benchmark_loops
 
@@ -30,7 +29,7 @@ def _cells() -> list[tuple]:
         for bench in ("tomcatv", "su2cor", "mgrid", "applu")
         for loop in benchmark_loops(bench, limit=2)
     ]
-    schemes = (Scheme.REPLICATION, REPL_PART, Scheme.BASELINE)
+    schemes = (Scheme.REPLICATION, Scheme.REPL_PART, Scheme.BASELINE)
     return [(loop, schemes[index % 3]) for index, loop in enumerate(loops)]
 
 
@@ -80,8 +79,8 @@ class TestPerCompileCounters:
 
     def test_fresh_copies_give_equal_counters(self):
         loop = benchmark_loops("su2cor", limit=1)[0]
-        assert _counters(loop.ddg.copy(), REPL_PART) == _counters(
-            loop.ddg.copy(), REPL_PART
+        assert _counters(loop.ddg.copy(), Scheme.REPL_PART) == _counters(
+            loop.ddg.copy(), Scheme.REPL_PART
         )
 
 
@@ -132,7 +131,7 @@ class TestCounterKeys:
     def test_schemes_write_the_same_keys_on_a_clustered_machine(self):
         ddg = daxpy()
         assert _counters(ddg, Scheme.REPLICATION).keys() == _KEYS
-        assert _counters(ddg, REPL_PART).keys() == _KEYS
+        assert _counters(ddg, Scheme.REPL_PART).keys() == _KEYS
         assert _counters(ddg, Scheme.BASELINE).keys() == {
             key for key in _KEYS if not key.startswith("replicate.")
         }

@@ -1,4 +1,4 @@
-"""The composable pass pipeline: registry, escalation, diagnostics."""
+"""The pass pipeline: scheme table, II escalation, diagnostics."""
 
 import pytest
 
@@ -10,23 +10,20 @@ from repro.pipeline.driver import (
     compile_loop,
 )
 from repro.pipeline.passes import (
-    BaselinePlanPass,
-    JumpEscalation,
-    LinearEscalation,
+    PLAN_PASSES,
+    FeasibilityPass,
+    PartitionPass,
     Pass,
     ReplicatePlanPass,
     SchemeConfig,
     StageFailure,
-    standard_stack,
-    build_pass_stack,
-    register_scheme,
+    find_min_ii,
+    next_ii,
+    pass_stack,
     run_pass_pipeline,
-    scheme_names,
-    unregister_scheme,
 )
 from repro.schedule.scheduler import FailureCause, ScheduleFailure
 from repro.schedule.scheduler import schedule as real_schedule
-from repro.sim.verifier import verify_kernel
 from repro.workloads.patterns import daxpy, stencil5
 
 
@@ -36,105 +33,68 @@ def m2():
 
 
 class TestRegistry:
+    """The closed scheme table: one row per :class:`Scheme` member."""
+
     def test_builtin_schemes_registered(self):
-        names = scheme_names()
-        for scheme in Scheme:
-            assert scheme.value in names
+        assert set(PLAN_PASSES) == set(Scheme)
 
     def test_unknown_scheme_is_a_compile_error(self, m2):
         with pytest.raises(CompileError, match="unknown scheme"):
             run_pass_pipeline(daxpy(), m2, "no_such_scheme")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheme(
-                "baseline", lambda config: standard_stack(BaselinePlanPass(), config)
-            )
-
-    def test_replace_allows_override(self):
-        builder = lambda config: standard_stack(BaselinePlanPass(), config)
-        register_scheme("tmp_scheme", builder)
-        try:
-            register_scheme("tmp_scheme", builder, replace=True)
-        finally:
-            unregister_scheme("tmp_scheme")
-
     def test_stack_shape_matches_config(self):
-        plain = [p.name for p in build_pass_stack("replication", SchemeConfig())]
+        plain = [p.name for p in pass_stack(Scheme.REPLICATION, SchemeConfig())]
         assert plain == ["partition", "feasibility", "replicate", "place",
                          "schedule"]
         with_length = [
             p.name
-            for p in build_pass_stack(
-                "replication", SchemeConfig(length_replication=True)
+            for p in pass_stack(
+                Scheme.REPLICATION, SchemeConfig(length_replication=True)
             )
         ]
         assert with_length == ["partition", "feasibility", "replicate",
                                "length", "place", "schedule"]
 
     def test_concrete_passes_satisfy_protocol(self):
-        for stage in build_pass_stack("replication", SchemeConfig()):
-            assert isinstance(stage, Pass)
+        for scheme in Scheme:
+            for stage in pass_stack(scheme, SchemeConfig()):
+                assert isinstance(stage, Pass)
 
+    @pytest.mark.parametrize(
+        "scheme, plan",
+        [
+            (Scheme.BASELINE, "plan"),
+            (Scheme.REPLICATION, "replicate"),
+            (Scheme.MACRO_REPLICATION, "macro_replicate"),
+            (Scheme.VALUE_CLONING, "clone_values"),
+            (Scheme.REPL_PART, "replicate"),
+        ],
+    )
+    @pytest.mark.parametrize("length", [False, True])
+    def test_every_scheme_runs_one_stack_shape(self, scheme, plan, length):
+        names = [
+            p.name
+            for p in pass_stack(scheme, SchemeConfig(length_replication=length))
+        ]
+        middle = [plan, "length"] if length else [plan]
+        assert names == ["partition", "feasibility", *middle, "place",
+                         "schedule"]
 
-class _ReplicationOffAbovePass:
-    """Toy planning pass: replicate at small IIs, give up above a cap."""
-
-    name = "plan"
-
-    def __init__(self, threshold: int) -> None:
-        self.threshold = threshold
-        self._replicate = ReplicatePlanPass()
-        self._baseline = BaselinePlanPass()
-
-    def run(self, ctx) -> None:
-        if ctx.ii <= self.threshold:
-            self._replicate.run(ctx)
-        else:
-            self._baseline.run(ctx)
-
-
-class TestCustomScheme:
-    """A new scheme compiles end-to-end without editing driver.py."""
-
-    @pytest.fixture
-    def toy(self):
-        name = "toy_replication_off_above_ii"
-        register_scheme(
-            name,
-            lambda config: standard_stack(_ReplicationOffAbovePass(8), config),
+    def test_repl_part_is_replication_with_a_partition_budget(self):
+        budgets = {}
+        for scheme in (Scheme.REPLICATION, Scheme.REPL_PART):
+            partition, feasibility, plan, *_ = pass_stack(scheme, SchemeConfig())
+            assert isinstance(partition, PartitionPass)
+            assert isinstance(feasibility, FeasibilityPass)
+            assert isinstance(plan, ReplicatePlanPass)
+            budgets[scheme] = partition.budget
+        assert budgets == {Scheme.REPLICATION: 0, Scheme.REPL_PART: 8}
+        assert PLAN_PASSES[Scheme.REPL_PART] == (ReplicatePlanPass, 8)
+        assert all(
+            budget == 0
+            for scheme, (_, budget) in PLAN_PASSES.items()
+            if scheme is not Scheme.REPL_PART
         )
-        yield name
-        unregister_scheme(name)
-
-    def test_compiles_and_verifies(self, toy, m2):
-        result = run_pass_pipeline(stencil5(), m2, toy)
-        verify_kernel(result.kernel)
-        assert result.scheme == toy
-        assert result.scheme_name == toy
-
-    def test_reachable_through_compile_loop(self, toy, m2):
-        result = compile_loop(stencil5(), m2, scheme=toy)
-        verify_kernel(result.kernel)
-        assert result.scheme == toy
-
-    def test_behaves_like_replication_below_threshold(self, toy, m2):
-        ours = run_pass_pipeline(stencil5(), m2, toy)
-        repl = compile_loop(stencil5(), m2, scheme=Scheme.REPLICATION)
-        assert ours.ii == repl.ii
-        assert ours.kernel.n_copy_ops() == repl.kernel.n_copy_ops()
-
-    def test_runs_through_the_engine(self, toy, m2):
-        from repro.engine.jobs import CompileJob, run_job
-
-        job = CompileJob(ddg=stencil5(), machine="2c1b2l64r", scheme=toy)
-        enum_job = CompileJob(
-            ddg=stencil5(), machine="2c1b2l64r", scheme=Scheme.REPLICATION
-        )
-        assert job.content_hash() != enum_job.content_hash()
-        result = run_job(job)
-        assert result.ok
-        assert result.result.scheme == toy
 
 
 class TestSchemeConfigParity:
@@ -191,26 +151,37 @@ class TestDiagnostics:
 
 
 class TestEscalationPolicies:
-    def test_linear_always_steps_by_one(self):
-        failure = ScheduleFailure(FailureCause.REGISTERS, "x", suggested_ii=99)
-        assert LinearEscalation().next_ii(5, failure) == 6
-
     def test_jump_follows_suggestion(self):
         failure = ScheduleFailure(FailureCause.REGISTERS, "x", suggested_ii=9)
-        assert JumpEscalation().next_ii(5, failure) == 9
+        assert next_ii(5, failure) == 9
 
     def test_jump_caps_at_factor_times_ii(self):
         failure = ScheduleFailure(FailureCause.REGISTERS, "x", suggested_ii=1000)
-        assert JumpEscalation().next_ii(5, failure) == 20
-        assert JumpEscalation(cap_factor=2).next_ii(5, failure) == 10
+        assert next_ii(5, failure) == 20
 
     def test_jump_ignores_stale_suggestion(self):
         failure = ScheduleFailure(FailureCause.REGISTERS, "x", suggested_ii=4)
-        assert JumpEscalation().next_ii(5, failure) == 6
+        assert next_ii(5, failure) == 6
 
     def test_jump_without_suggestion_steps_by_one(self):
         failure = StageFailure(FailureCause.BUS, "no estimate")
-        assert JumpEscalation().next_ii(5, failure) == 6
+        assert next_ii(5, failure) == 6
+
+    def test_find_min_ii_steps_by_one(self):
+        """The ablation search tries every II, whatever a failure
+        suggests."""
+        tried = []
+
+        def attempt(ii):
+            tried.append(ii)
+            if ii < 8:
+                raise ScheduleFailure(FailureCause.REGISTERS, "x", suggested_ii=99)
+            return "kernel"
+
+        assert find_min_ii(attempt, 5, 20) == (8, "kernel")
+        assert tried == [5, 6, 7, 8]
+        with pytest.raises(UnschedulableError):
+            find_min_ii(attempt, 2, 7)
 
 
 class TestIIJumpInCompileLoop:

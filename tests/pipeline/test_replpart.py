@@ -1,4 +1,4 @@
-"""The repl-part scheme: registration, compilation, budget semantics."""
+"""The repl-part scheme: its table row, compilation, budget semantics."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ import pytest
 
 from repro.machine.config import parse_config
 from repro.pipeline import (
-    REPL_PART,
-    SchemeConfig,
+    PLAN_PASSES,
+    Scheme,
     compile_loop,
     run_pass_pipeline,
-    scheme_names,
 )
+from repro.pipeline.passes import ReplicatePlanPass
 from repro.workloads.generator import LoopSpec, generate_loop
+
+REPL_PART = Scheme.REPL_PART
 
 
 @pytest.fixture()
@@ -28,10 +30,16 @@ def machine():
     return parse_config("4c1b2l64r")
 
 
+@pytest.fixture()
+def zero_budget(monkeypatch):
+    """repl-part's row with no in-partition replica budget."""
+    monkeypatch.setitem(PLAN_PASSES, REPL_PART, (ReplicatePlanPass, 0))
+
+
 class TestReplPartScheme:
     def test_registered_at_import(self):
-        assert REPL_PART == "repl-part"
-        assert REPL_PART in scheme_names()
+        assert REPL_PART.value == "repl-part"
+        assert REPL_PART in PLAN_PASSES
 
     def test_compiles_end_to_end(self, loop, machine):
         result = compile_loop(loop, machine, scheme=REPL_PART)
@@ -47,29 +55,21 @@ class TestReplPartScheme:
         assert "partition.moves.replicas_surviving" in counters
         assert counters["partition.moves.plain"] >= 0
 
-    def test_zero_budget_reduces_to_post_pass_replication(self, loop, machine):
+    def test_zero_budget_reduces_to_post_pass_replication(
+        self, loop, machine, zero_budget
+    ):
         """With a zero in-partition budget the stack grants nothing and
         must land exactly where the paper's post-pass scheme lands."""
         reference = run_pass_pipeline(loop, machine, "replication")
-        zero = run_pass_pipeline(
-            loop,
-            machine,
-            REPL_PART,
-            config=SchemeConfig(partition_replication_budget=0),
-        )
+        zero = run_pass_pipeline(loop, machine, REPL_PART)
         assert zero.ii == reference.ii
         assert zero.partition.assignment() == reference.partition.assignment()
         assert zero.plan.replicas == reference.plan.replicas
         assert zero.kernel.n_copy_ops() == reference.kernel.n_copy_ops()
         assert zero.kernel.length == reference.kernel.length
 
-    def test_budget_knob_reaches_the_partitioner(self, loop, machine):
-        result = run_pass_pipeline(
-            loop,
-            machine,
-            REPL_PART,
-            config=SchemeConfig(partition_replication_budget=0),
-        )
+    def test_budget_knob_reaches_the_partitioner(self, loop, machine, zero_budget):
+        result = run_pass_pipeline(loop, machine, REPL_PART)
         counters = result.diagnostics.counters
         assert counters.get("partition.moves.replicate", 0) == 0
         assert counters.get("partition.moves.replicas_surviving", 0) == 0

@@ -8,7 +8,7 @@ from repro.ddg.analysis import mii
 from repro.machine.config import parse_config, unified_machine
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.partition import Partition
-from repro.pipeline.passes import LinearEscalation, find_min_ii
+from repro.pipeline.passes import find_min_ii
 from repro.schedule.ims import ims_schedule
 from repro.schedule.placed import build_placed_graph
 from repro.schedule.scheduler import FailureCause, ScheduleFailure, schedule
@@ -30,7 +30,7 @@ def placed_for(ddg, machine, ii, with_replication=False):
 
 
 def min_ii_with(scheduler, ddg, machine, lo):
-    """Linear search via the driver's shared escalation machinery."""
+    """Linear search via the driver's shared :func:`find_min_ii`."""
 
     def attempt(ii):
         graph = placed_for(ddg, machine, ii)
@@ -40,7 +40,7 @@ def min_ii_with(scheduler, ddg, machine, lo):
             )
         return scheduler(graph, machine, ii)
 
-    return find_min_ii(attempt, lo, lo + 63, LinearEscalation())
+    return find_min_ii(attempt, lo, lo + 63)
 
 
 class TestImsCorrectness:

@@ -75,6 +75,15 @@ class TestSubmitAndPoll:
         )
         assert done["fingerprint"] == result_fingerprint(local)
 
+    def test_bad_machine_name_ends_invalid_input(self, client):
+        job = CompileJob(
+            ddg=daxpy(), machine="bogus", scheme=Scheme.REPLICATION, tag="http/bogus"
+        )
+        done = client.wait(client.submit(job)["key"], timeout=120.0)
+        assert done["status"] == "done"
+        assert done["outcome"] == "error"
+        assert done["error_kind"] == "invalid_input"
+
     def test_resubmit_is_idempotent(self, client):
         job = _job(scheme=Scheme.BASELINE, tag="http/idempotent")
         first = client.submit(job)

@@ -68,6 +68,15 @@ class TestSchemes:
         )
         assert "[replication]" in capsys.readouterr().out
 
+    def test_repl_part_compiles_from_the_command_line(self, capsys):
+        assert main(["compile", "--loop", "stencil5", "--scheme", "repl-part"]) == 0
+        assert "[repl-part]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_every_scheme_value_is_a_cli_name(self, capsys, scheme):
+        assert main(["compile", "--loop", "daxpy", "--scheme", scheme]) == 0
+        assert f"[{scheme}]" in capsys.readouterr().out
+
 
 class TestAsm:
     def test_assembly_emitted(self, capsys):
@@ -170,7 +179,7 @@ class TestBench:
         monkeypatch.setenv(engine_cache.CACHE_DIR_ENV, str(tmp_path))
         engine_cache.reset_default_cache()
         argv = ["bench", "--benchmark", "mgrid", "--machine", "2c1b2l64r",
-                "--limit", "2", "--jobs", "1", "--scheme", "baseline",
+                "--limit", "2", "--jobs", "1", "--schemes", "baseline",
                 "--quiet"]
         main(argv)
         cold = capsys.readouterr().out
@@ -182,7 +191,7 @@ class TestBench:
 
     def test_text_report_includes_stage_breakdown(self, capsys):
         main(["bench", "--benchmark", "mgrid", "--machine", "2c1b2l64r",
-              "--limit", "2", "--jobs", "1", "--scheme", "baseline",
+              "--limit", "2", "--jobs", "1", "--schemes", "baseline",
               "--quiet", "--no-cache"])
         out = capsys.readouterr().out
         assert "per-stage compile time" in out
@@ -193,7 +202,7 @@ class TestBench:
 
         assert (
             main(["bench", "--benchmark", "mgrid", "--machine", "2c1b2l64r",
-                  "--limit", "2", "--jobs", "1", "--scheme", "baseline",
+                  "--limit", "2", "--jobs", "1", "--schemes", "baseline",
                   "--quiet", "--no-cache", "--format", "json"])
             == 0
         )
@@ -249,7 +258,7 @@ class TestBench:
 
         events = tmp_path / "events.jsonl"
         main(["bench", "--benchmark", "mgrid", "--limit", "1", "--jobs", "1",
-              "--scheme", "baseline", "--quiet", "--no-cache",
+              "--schemes", "baseline", "--quiet", "--no-cache",
               "--events", str(events)])
         capsys.readouterr()
         lines = events.read_text().strip().splitlines()
@@ -439,3 +448,27 @@ class TestParser:
     def test_cache_rejects_unknown_action(self):
         with pytest.raises(SystemExit):
             main(["cache", "defragment"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--loop", "daxpy"],
+            ["simulate", "--loop", "daxpy"],
+            ["asm", "--loop", "daxpy"],
+            ["dot", "--loop", "daxpy"],
+            ["suite", "--limit", "1"],
+            ["bench", "--limit", "1", "--no-cache", "--quiet"],
+        ],
+    )
+    def test_bad_machine_name_exits_2_with_its_message(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--machine", "bogus"])
+        assert excinfo.value.code == 2
+        assert "bad machine name 'bogus'" in capsys.readouterr().err
+
+    def test_bench_has_no_single_scheme_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--benchmark", "mgrid", "--limit", "1",
+                  "--scheme", "baseline", "--quiet", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "--scheme" in capsys.readouterr().err

@@ -5,8 +5,6 @@ Commands:
 * ``compile`` — compile one loop (a built-in pattern or a JSON DDG
   file) for a machine, print the schedule summary and kernel.
 * ``simulate`` — compile and run a loop, print IPC and issue stats.
-* ``suite`` — compile a synthetic benchmark's loops and print the
-  profile-weighted IPC under baseline and replication.
 * ``bench`` — run a benchmark x machine x scheme matrix through the
   parallel engine (persistent cache, ``--jobs N`` fan-out) and print a
   summary table plus the cache hit-rate.
@@ -19,8 +17,6 @@ Commands:
 * ``serve`` — run the compilation service: an HTTP/JSON API over the
   persistent result cache (``--smoke`` boots an ephemeral server and
   verifies one job end-to-end).
-* ``top`` — live text dashboard for a running server (jobs/s, queue
-  depth, request-latency percentiles, cache hit rate).
 * ``cache`` — inspect or clear the persistent result cache
   (``stats``, ``clear``, ``path``).
 
@@ -28,7 +24,6 @@ Examples::
 
     python -m repro compile --machine 4c1b2l64r --loop stencil5
     python -m repro simulate --machine 4c2b4l64r --loop daxpy -n 500
-    python -m repro suite --machine 4c1b2l64r --benchmark su2cor --limit 8
     python -m repro bench --machine 4c1b2l64r --benchmark su2cor --jobs 4
     python -m repro dot --loop dot_product --machine 2c1b2l64r --partition
     python -m repro trace --summary --record -- bench --jobs 4
@@ -84,12 +79,6 @@ _SCHEME_NAMES = {
 }
 
 
-def _scheme(args: argparse.Namespace) -> Scheme:
-    if getattr(args, "scheme", None):
-        return _SCHEME_NAMES[args.scheme]
-    return Scheme.BASELINE if args.no_replication else Scheme.REPLICATION
-
-
 def _machine_name(name: str) -> str:
     """``--machine``'s argparse type: a name that resolves, so a bad one
     exits 2 with its :class:`ConfigError` message."""
@@ -129,7 +118,7 @@ def _resolve_schemes(args: argparse.Namespace) -> list[Scheme]:
 def cmd_compile(args: argparse.Namespace) -> int:
     machine = resolve_machine(args.machine)
     ddg = _loop(args)
-    result = compile_loop(ddg, machine, scheme=_scheme(args))
+    result = compile_loop(ddg, machine, scheme=_SCHEME_NAMES[args.scheme])
     kernel = result.kernel
     print(
         f"loop {ddg.name!r} on {machine.name} [{result.scheme.value}]: "
@@ -149,7 +138,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     machine = resolve_machine(args.machine)
     ddg = _loop(args)
-    result = compile_loop(ddg, machine, scheme=_scheme(args))
+    result = compile_loop(ddg, machine, scheme=_SCHEME_NAMES[args.scheme])
     sim = simulate(result.kernel, args.iterations)
     print(
         f"{ddg.name} x {args.iterations} iterations on {machine.name} "
@@ -160,41 +149,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"  issued: {sim.issued_original} original, "
         f"{sim.issued_replica} replicas, {sim.issued_copies} copies "
         f"(raw issue rate {sim.ipc_issued:.3f})"
-    )
-    return 0
-
-
-def cmd_suite(args: argparse.Namespace) -> int:
-    machine = resolve_machine(args.machine)
-    rows = []
-    for bench in [args.benchmark] if args.benchmark else BENCHMARK_ORDER:
-        loops = benchmark_loops(bench, limit=args.limit)
-        base = benchmark_metrics(
-            bench,
-            [
-                loop_metrics(
-                    l, compile_loop(l.ddg, machine, scheme=Scheme.BASELINE)
-                )
-                for l in loops
-            ],
-        )
-        repl = benchmark_metrics(
-            bench,
-            [
-                loop_metrics(
-                    l, compile_loop(l.ddg, machine, scheme=Scheme.REPLICATION)
-                )
-                for l in loops
-            ],
-        )
-        gain = (repl.ipc / base.ipc - 1.0) * 100.0 if base.ipc else 0.0
-        rows.append([bench, len(loops), base.ipc, repl.ipc, gain])
-    print(
-        format_table(
-            ["benchmark", "loops", "baseline IPC", "replication IPC", "speedup %"],
-            rows,
-            title=f"suite on {machine.name}",
-        )
     )
     return 0
 
@@ -300,7 +254,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.engine.executor import EngineConfig, run_jobs
     from repro.engine.jobs import CompileJob, Outcome
     from repro.pipeline.experiments import configured_limit
-    from repro.workloads.specfp import benchmark_loops as suite_loops
 
     benchmarks = args.benchmark or list(BENCHMARK_ORDER)
     machines = args.machine or ["4c1b2l64r"]
@@ -310,7 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cells = []  # (benchmark, machine name, scheme, loops, job slice start)
     jobs: list[CompileJob] = []
     for bench in benchmarks:
-        loops = suite_loops(bench, limit=limit)
+        loops = benchmark_loops(bench, limit=limit)
         for machine_name in machines:
             for scheme in schemes:
                 cells.append((bench, machine_name, scheme, loops, len(jobs)))
@@ -601,18 +554,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live text dashboard polling a server's /stats + /metrics."""
-    from repro.serve.top import run_top
-
-    return run_top(
-        args.url,
-        interval=args.interval,
-        iterations=args.iterations,
-        once=args.once,
-    )
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the persistent result cache."""
     from repro.engine.cache import ResultCache, cache_enabled, cache_root
@@ -649,7 +590,7 @@ def cmd_asm(args: argparse.Namespace) -> int:
 
     machine = resolve_machine(args.machine)
     ddg = _loop(args)
-    result = compile_loop(ddg, machine, scheme=_scheme(args))
+    result = compile_loop(ddg, machine, scheme=_SCHEME_NAMES[args.scheme])
     print(emit_assembly(software_pipeline(result.kernel), name=ddg.name))
     return 0
 
@@ -690,15 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"pattern name ({', '.join(PATTERNS)}) or JSON DDG path",
         )
         p.add_argument(
-            "--no-replication",
-            action="store_true",
-            help="use the baseline scheduler (no replication)",
-        )
-        p.add_argument(
             "--scheme",
             choices=sorted(_SCHEME_NAMES),
-            default=None,
-            help="compiler variant (overrides --no-replication)",
+            default="replication",
+            help="compiler variant (default: replication)",
         )
 
     p = sub.add_parser("compile", help="compile one loop")
@@ -710,17 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("-n", "--iterations", type=int, default=100)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("suite", help="evaluate synthetic benchmarks")
-    p.add_argument("--machine", type=_machine_name, default="4c1b2l64r")
-    p.add_argument(
-        "--benchmark",
-        choices=BENCHMARK_ORDER,
-        default=None,
-        help="one benchmark (default: all)",
-    )
-    p.add_argument("--limit", type=int, default=8, help="loops per benchmark")
-    p.set_defaults(func=cmd_suite)
 
     # No prefix matching: "--scheme" is not taken for "--schemes".
     p = sub.add_parser(
@@ -905,36 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress --smoke progress output"
     )
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "top",
-        help="live dashboard for a running serve deployment",
-    )
-    p.add_argument(
-        "--url",
-        default="http://127.0.0.1:8774",
-        help="server base URL (default: http://127.0.0.1:8774)",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll interval (default: 2s)",
-    )
-    p.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N frames (default: run until interrupted)",
-    )
-    p.add_argument(
-        "--once",
-        action="store_true",
-        help="print one dashboard frame and exit (no screen clearing)",
-    )
-    p.set_defaults(func=cmd_top)
 
     p = sub.add_parser(
         "cache", help="inspect or clear the persistent result cache"

@@ -11,9 +11,9 @@ under one ``repro_`` namespace (``serve.job_seconds`` →
 :func:`parse_exposition` reads the same format back into
 ``{sample_name: value}`` (labels kept verbatim in the key), and
 :func:`validate_exposition` checks a payload line-by-line against the
-text-format grammar — both are used by ``repro top``, the serve smoke
-check, and the tests, so the renderer can never drift from what its
-consumers accept.
+text-format grammar — both are used by the serve smoke check and the
+tests, so the renderer can never drift from what its consumers
+accept.
 """
 
 from __future__ import annotations

@@ -82,9 +82,9 @@ class _Key:
 class LoopOutcome:
     """One loop's structured compilation outcome within a sweep.
 
-    Failed cells (``CompileError`` text, timeouts) are data, not
-    exceptions: a sweep reports which loops dropped out instead of
-    aborting on the first unschedulable one.
+    Unschedulable and timed-out cells are data, not exceptions: a sweep
+    reports which loops dropped out instead of aborting on the first
+    unschedulable one.
     """
 
     loop: Loop
@@ -114,6 +114,14 @@ class _SuiteEntry:
 
 _CACHE: dict[_Key, _SuiteEntry] = {}
 
+#: Failures of the sweep itself (a malformed cell, a compiler bug, a
+#: lost worker), not of the loop: they fail the sweep, so no figure
+#: averages over them. ``UNSCHEDULABLE`` and ``TIMEOUT`` cells drop out.
+_SWEEP_FAILURES = frozenset({
+    ErrorKind.INVALID_INPUT, ErrorKind.INTERNAL,
+    ErrorKind.ILLEGAL_KERNEL, ErrorKind.WORKER_DIED,
+})
+
 
 def _compile_entry(
     benchmark: str,
@@ -137,6 +145,12 @@ def _compile_entry(
         for loop in loops
     ]
     results = run_jobs(jobs, EngineConfig())
+    for result in results:
+        if result.error_kind in _SWEEP_FAILURES:
+            raise RuntimeError(
+                f"{result.tag} on {machine.name}: "
+                f"{result.error_kind.value}: {result.error}"
+            )
     outcomes = [
         LoopOutcome(loop=loop, job=result)
         for loop, result in zip(loops, results)
@@ -193,9 +207,12 @@ def compile_suite(
     """Compile one benchmark's loops; memoized across experiments.
 
     Loops that fail to compile within the II bound (possible in extreme
-    ablations, e.g. tiny register files) are skipped consistently: the
-    failure is cached as a :class:`LoopOutcome` so every scheme sees the
-    same loop set; see :func:`suite_outcomes` for the failure records.
+    ablations, e.g. tiny register files) or time out are skipped; each
+    failure is kept as a :class:`LoopOutcome`, see :func:`suite_outcomes`.
+
+    Raises:
+        RuntimeError: naming the first cell that ended in one of
+            :data:`_SWEEP_FAILURES`; nothing is memoized.
     """
     return _entry_for(
         benchmark,
@@ -224,12 +241,12 @@ def failed_outcomes(
     kind: ErrorKind | None = None,
     **kwargs,
 ) -> list[LoopOutcome]:
-    """Only the loops that failed (CompileError / timeout), with text.
+    """Only the loops that dropped out (unschedulable or timed out).
 
     Args:
         kind: restrict to one :class:`~repro.engine.jobs.ErrorKind` —
             e.g. ``ErrorKind.UNSCHEDULABLE`` for genuine II-bound
-            exhaustion, as opposed to bad inputs or timeouts.
+            exhaustion, as opposed to timeouts.
     """
     return [
         outcome

@@ -9,7 +9,9 @@ install. Endpoints:
   :meth:`CompileJob.to_wire`) or by key (``{"key": "<sha256>"}``,
   which only completes against the result cache). Returns the job
   status document; 202 when queued, 200 when already known/cached,
-  429 + ``Retry-After`` under backpressure, 503 while draining.
+  400 when the payload does not parse or names a machine or scheme
+  that does not resolve, 429 + ``Retry-After`` under backpressure,
+  503 while draining.
 * ``GET /jobs/<key>`` — poll one job's status/result summary (the
   summary carries the result's semantic fingerprint so clients can
   assert equivalence with a local compile).
@@ -308,9 +310,14 @@ class ServeServer:
                 )
             return await _respond(writer, 200, record.to_payload())
         try:
-            from repro.engine.jobs import CompileJob
+            from repro.engine.jobs import CompileJob, resolve_machine
+            from repro.pipeline.driver import Scheme
 
             job = CompileJob.from_wire(payload["job"])
+            # A name that resolves to nothing is refused here, before
+            # the job takes an admission slot and a worker round trip.
+            resolve_machine(job.machine)
+            Scheme(job.scheme)
         except Exception as exc:
             return await _respond(
                 writer, 400, {"error": f"bad job payload: {type(exc).__name__}: {exc}"}

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.engine.jobs import ErrorKind, resolve_machine
+from repro.engine.jobs import ErrorKind, JobResult, Outcome, resolve_machine
+from repro.machine.config import heterogeneous_machine
+from repro.machine.resources import FuKind
 from repro.pipeline.driver import Scheme
 from repro.pipeline import experiments
 from repro.schedule.scheduler import FailureCause
@@ -120,10 +122,58 @@ class TestSuiteOutcomes:
         assert first is second
 
 
+class TestSweepFailures:
+    def test_machine_built_in_code_raises_invalid_input(self):
+        """The engine keys a machine by name, so a machine built in code
+        ends every job ``invalid_input``; the sweep raises instead of
+        returning no metrics."""
+        machine = heterogeneous_machine(
+            cluster_fus=[{FuKind.INT: 1, FuKind.FP: 1, FuKind.MEM: 1}] * 2,
+            bus_count=1,
+            bus_latency=2,
+        )
+        with pytest.raises(RuntimeError, match="invalid_input") as err:
+            experiments.compile_suite("mgrid", machine, Scheme.BASELINE, limit=1)
+        assert "mgrid/" in str(err.value) and "heterogeneous" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kind, raises",
+        [
+            (ErrorKind.UNSCHEDULABLE, False),
+            (ErrorKind.TIMEOUT, False),
+            (ErrorKind.INVALID_INPUT, True),
+            (ErrorKind.INTERNAL, True),
+            (ErrorKind.ILLEGAL_KERNEL, True),
+            (ErrorKind.WORKER_DIED, True),
+        ],
+    )
+    def test_only_unschedulable_and_timeout_cells_drop_out(
+        self, monkeypatch, kind, raises
+    ):
+        def run_jobs(jobs, config):
+            return [
+                JobResult(key="k", tag=job.tag, outcome=Outcome.ERROR,
+                          error="boom", error_kind=kind)
+                for job in jobs
+            ]
+
+        monkeypatch.setattr(experiments, "run_jobs", run_jobs)
+        machine = resolve_machine("2c1b2l64r")
+        if raises:
+            with pytest.raises(RuntimeError, match=f"{kind.value}: boom"):
+                experiments.compile_suite("mgrid", machine, Scheme.BASELINE, limit=2)
+        else:
+            assert experiments.compile_suite(
+                "mgrid", machine, Scheme.BASELINE, limit=2
+            ) == []
+            assert len(experiments.failed_outcomes(
+                "mgrid", machine, Scheme.BASELINE, kind=kind, limit=2
+            )) == 2
+
+
 class TestErrorKinds:
     @staticmethod
     def _outcome(error_kind):
-        from repro.engine.jobs import JobResult, Outcome
         from repro.workloads.loop import Loop
         from repro.workloads.patterns import daxpy
 

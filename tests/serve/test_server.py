@@ -75,14 +75,14 @@ class TestSubmitAndPoll:
         )
         assert done["fingerprint"] == result_fingerprint(local)
 
-    def test_bad_machine_name_ends_invalid_input(self, client):
-        job = CompileJob(
-            ddg=daxpy(), machine="bogus", scheme=Scheme.REPLICATION, tag="http/bogus"
-        )
-        done = client.wait(client.submit(job)["key"], timeout=120.0)
-        assert done["status"] == "done"
-        assert done["outcome"] == "error"
-        assert done["error_kind"] == "invalid_input"
+    def test_unresolvable_machine_or_scheme_is_400(self, client):
+        for machine, scheme in (("bogus", "replication"), (MACHINE, "nonsense")):
+            job = CompileJob(ddg=daxpy(), machine=machine, scheme=scheme)
+            status, payload = client.try_submit(job)
+            assert status == 400
+            assert payload["error"].startswith("bad job payload")
+            # Refused before admission: no job record exists.
+            assert client.submit_key(job.content_hash())[0] == 404
 
     def test_resubmit_is_idempotent(self, client):
         job = _job(scheme=Scheme.BASELINE, tag="http/idempotent")

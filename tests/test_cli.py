@@ -1,8 +1,13 @@
 """The command-line interface."""
 
+import argparse
+import pathlib
+import re
+
 import pytest
 
-from repro.cli import _counter_totals, main
+import repro.cli
+from repro.cli import _counter_totals, build_parser, main
 from repro.ddg import io as ddg_io
 from repro.engine.jobs import JobResult, Outcome
 from repro.pipeline.driver import CompileDiagnostics, CompileResult, Scheme
@@ -20,8 +25,12 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "slot=" in out
 
+    def test_default_scheme_is_replication(self, capsys):
+        assert main(["compile", "--loop", "stencil5"]) == 0
+        assert "[replication]" in capsys.readouterr().out
+
     def test_baseline_flag(self, capsys):
-        main(["compile", "--loop", "stencil5", "--no-replication"])
+        main(["compile", "--loop", "stencil5", "--scheme", "baseline"])
         out = capsys.readouterr().out
         assert "[baseline]" in out
         assert "replicas 0" in out
@@ -45,13 +54,6 @@ class TestSimulate:
         assert "0 copies" in out
 
 
-class TestSuite:
-    def test_single_benchmark(self, capsys):
-        main(["suite", "--benchmark", "mgrid", "--limit", "2"])
-        out = capsys.readouterr().out
-        assert "mgrid" in out and "speedup" in out
-
-
 class TestSchemes:
     def test_cloning_scheme(self, capsys):
         main(["compile", "--loop", "daxpy", "--scheme", "cloning"])
@@ -60,13 +62,6 @@ class TestSchemes:
     def test_macro_scheme(self, capsys):
         main(["compile", "--loop", "stencil5", "--scheme", "macro"])
         assert "[macro_replication]" in capsys.readouterr().out
-
-    def test_scheme_overrides_no_replication(self, capsys):
-        main(
-            ["compile", "--loop", "daxpy", "--no-replication",
-             "--scheme", "replication"]
-        )
-        assert "[replication]" in capsys.readouterr().out
 
     def test_repl_part_compiles_from_the_command_line(self, capsys):
         assert main(["compile", "--loop", "stencil5", "--scheme", "repl-part"]) == 0
@@ -445,6 +440,20 @@ class TestParser:
         with pytest.raises(FileNotFoundError):
             main(["compile", "--loop", "no_such_pattern"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["top"], "invalid choice: 'top'"),
+            (["suite"], "invalid choice: 'suite'"),
+            (["compile", "--no-replication"], "unrecognized arguments"),
+        ],
+    )
+    def test_removed_commands_and_flags_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_cache_rejects_unknown_action(self):
         with pytest.raises(SystemExit):
             main(["cache", "defragment"])
@@ -456,7 +465,6 @@ class TestParser:
             ["simulate", "--loop", "daxpy"],
             ["asm", "--loop", "daxpy"],
             ["dot", "--loop", "daxpy"],
-            ["suite", "--limit", "1"],
             ["bench", "--limit", "1", "--no-cache", "--quiet"],
         ],
     )
@@ -472,3 +480,44 @@ class TestParser:
                   "--scheme", "baseline", "--quiet", "--no-cache"])
         assert excinfo.value.code == 2
         assert "--scheme" in capsys.readouterr().err
+
+
+#: Documents whose ``python -m repro <name>`` and ``repro <name>``
+#: mentions must name a real subcommand.
+DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+_COMMAND = re.compile(r"(?:python -m repro|`repro)\s+(<?[\w|-]+>?)")
+
+
+def _mentioned_commands(text: str) -> set[str]:
+    """The subcommands a text names as ``python -m repro <name>`` or as a
+    backticked ``repro <name>``; ``a|b|c`` lists are split and the
+    ``<command>`` placeholder is skipped."""
+    return {
+        name
+        for token in _COMMAND.findall(text)
+        if token != "<command>"
+        for name in token.strip("<>").split("|")
+    }
+
+
+class TestDocs:
+    @staticmethod
+    def _subcommands() -> set[str]:
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return set(sub.choices)
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_documented_commands_exist(self, doc):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        mentioned = _mentioned_commands((root / doc).read_text(encoding="utf-8"))
+        assert mentioned, doc
+        assert mentioned - self._subcommands() == set(), doc
+
+    def test_cli_docstring_commands_exist(self):
+        mentioned = _mentioned_commands(repro.cli.__doc__)
+        assert mentioned
+        assert mentioned - self._subcommands() == set()

@@ -44,9 +44,9 @@ import time
 
 from repro.ddg import io as ddg_io
 from repro.ddg.graph import Ddg
-from repro.engine.jobs import resolve_machine
+from repro.engine.jobs import CompileJob, resolve_machine, run_job
 from repro.machine.config import ConfigError
-from repro.pipeline.driver import Scheme, compile_loop
+from repro.pipeline.driver import CompileResult, Scheme
 from repro.pipeline.metrics import benchmark_metrics, loop_metrics
 from repro.pipeline.report import format_table
 from repro.sim.vliw import simulate
@@ -115,10 +115,25 @@ def _resolve_schemes(args: argparse.Namespace) -> list[Scheme]:
     return [_SCHEME_NAMES[name] for name in names]
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
-    machine = resolve_machine(args.machine)
+def _compile(args: argparse.Namespace) -> tuple[Ddg, CompileResult | None]:
+    """``--loop`` compiled for ``--machine`` under ``--scheme`` the way
+    the engine compiles a job (:func:`repro.engine.jobs.run_job`: the
+    kernel has passed the verifier), storing nothing. On any other
+    ending, prints ``error: <error> (<error_kind>)`` to stderr and
+    gives None for the result."""
     ddg = _loop(args)
-    result = compile_loop(ddg, machine, scheme=_SCHEME_NAMES[args.scheme])
+    job = CompileJob(ddg=ddg, machine=args.machine, scheme=_SCHEME_NAMES[args.scheme])
+    done = run_job(job)
+    if not done.ok:
+        print(f"error: {done.error} ({done.error_kind.value})", file=sys.stderr)
+    return ddg, done.result
+
+
+def cmd_compile(args: argparse.Namespace) -> int:
+    ddg, result = _compile(args)
+    if result is None:
+        return 1
+    machine = resolve_machine(args.machine)
     kernel = result.kernel
     print(
         f"loop {ddg.name!r} on {machine.name} [{result.scheme.value}]: "
@@ -136,9 +151,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    ddg, result = _compile(args)
+    if result is None:
+        return 1
     machine = resolve_machine(args.machine)
-    ddg = _loop(args)
-    result = compile_loop(ddg, machine, scheme=_SCHEME_NAMES[args.scheme])
     sim = simulate(result.kernel, args.iterations)
     print(
         f"{ddg.name} x {args.iterations} iterations on {machine.name} "
@@ -588,9 +604,9 @@ def cmd_asm(args: argparse.Namespace) -> int:
     from repro.codegen.emit import emit_assembly
     from repro.codegen.program import software_pipeline
 
-    machine = resolve_machine(args.machine)
-    ddg = _loop(args)
-    result = compile_loop(ddg, machine, scheme=_SCHEME_NAMES[args.scheme])
+    ddg, result = _compile(args)
+    if result is None:
+        return 1
     print(emit_assembly(software_pipeline(result.kernel), name=ddg.name))
     return 0
 
@@ -618,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_loop(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--machine",
             type=_machine_name,
@@ -630,6 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
             default="stencil5",
             help=f"pattern name ({', '.join(PATTERNS)}) or JSON DDG path",
         )
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_loop(p)
         p.add_argument(
             "--scheme",
             choices=sorted(_SCHEME_NAMES),
@@ -855,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asm)
 
     p = sub.add_parser("dot", help="emit Graphviz DOT")
-    add_common(p)
+    add_loop(p)
     p.add_argument(
         "--partition",
         action="store_true",

@@ -4,21 +4,21 @@
 
 1. looks the content hash up in the persistent cache (hit → done; the
    hit binds the job's own DDG and rebuilds its kernel from the entry);
-2. otherwise compiles, either in-process (``jobs == 1`` — bit-identical
-   to calling :func:`repro.pipeline.driver.compile_loop` directly) or
-   on a ``ProcessPoolExecutor`` fan-out, and verifies the kernel
-   (:func:`repro.engine.jobs.run_job`). A pool worker returns a
-   verified result as its sealed store entry
-   (:func:`~repro.engine.cache.encode_entry`), never as a
-   ``CompileResult``: the parent decodes it against the job's own DDG,
-   as a cache hit does (:func:`accept_entry`);
+2. otherwise compiles and verifies the kernel
+   (:func:`repro.engine.jobs.run_job`), either in-process (``jobs ==
+   1`` — bit-identical to calling
+   :func:`repro.pipeline.driver.compile_loop` directly) or on a
+   :class:`CompilePool`. A pool worker returns a verified result as its
+   sealed store entry (:func:`~repro.engine.cache.encode_entry`), never
+   as a ``CompileResult``: the pool decodes it against the job's own
+   DDG, as a cache hit does (:func:`accept_entry`);
 3. enforces a per-job wall-clock timeout *inside* the worker (SIGALRM)
    so an exploding search records a ``TIMEOUT`` outcome instead of
    hanging the suite or poisoning the pool;
-4. turns a pool call that raised into a result with
-   :func:`pool_failure`: a job whose worker process died
-   (``BrokenProcessPool``) is retried once on a one-worker pool of its
-   own, then degrades to a structured ``ERROR``;
+4. turns a pool call that raised into a result (:func:`pool_failure`):
+   a job whose worker process died (``BrokenProcessPool``) is retried
+   once on a one-worker pool of its own, then degrades to a structured
+   ``ERROR``;
 5. writes fresh successes back to the cache (a pool job's entry bytes
    unchanged) and emits a structured event per transition.
 
@@ -26,10 +26,10 @@ Results come back in submission order, one :class:`JobResult` per job,
 and never as an exception: unschedulable loops, timeouts and worker
 deaths are data, so one bad cell cannot abort a 678-loop sweep.
 
-The serving layer (:mod:`repro.serve.manager`) compiles on its own
-long-lived process pool, through the same worker entry point
-(:func:`execute_wire`), the same entry binding (:func:`accept_entry`)
-and the same failure rule (:func:`pool_failure`).
+A batch runs its misses on a :class:`CompilePool` of its own and joins
+its workers before it returns. The serving layer
+(:mod:`repro.serve.manager`) keeps one pool for its whole life and
+awaits :meth:`CompilePool.run` per job.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.engine.events import Event, EventBus, EventKind
 from repro.engine.jobs import CompileJob, ErrorKind, JobResult, Outcome, run_job
 from repro.obs import spans as obs
 from repro.obs.log import get_logger
-from repro.obs.propagate import format_traceparent, parse_traceparent
 
 _log = get_logger("engine")
 
@@ -181,35 +180,25 @@ def _timed_run(job: CompileJob, key: str, timeout: float | None) -> JobResult:
 
 
 def execute_wire(
-    wire: dict,
-    key: str,
-    timeout: float | None,
-    traceparent: str | None = None,
+    wire: dict, key: str, timeout: float | None
 ) -> tuple[JobResult, bytes | None]:
     """Worker-process entry point: rebuild the job, run it, and return
     its result with the result's sealed store entry.
 
-    Batch workers (:func:`run_jobs`) and the serving layer's persistent
-    process pool (:mod:`repro.serve.manager`) both run jobs through it.
-    An OK, verified result crosses back as
-    :func:`~repro.engine.cache.encode_entry` bytes, and the
-    :class:`JobResult` beside them holds no ``CompileResult``; every
-    other ending carries no entry. The caller binds the entry with
-    :func:`accept_entry`.
+    Every :class:`CompilePool` job runs through it. An OK, verified
+    result crosses back as :func:`~repro.engine.cache.encode_entry`
+    bytes, and the :class:`JobResult` beside them holds no
+    ``CompileResult``; every other ending carries no entry. The caller
+    binds the entry with :func:`accept_entry`.
 
     When tracing is on (the worker inherits ``REPRO_TRACE``), the job
     runs under a worker-side ``engine.job`` span; every span the job
     produced is drained from the worker tracer and shipped back on the
-    result, where the caller re-parents it under its own span.
-    ``traceparent`` (the caller's serialized span context — see
-    :mod:`repro.obs.propagate`) makes the worker's spans part of the
-    caller's trace instead of rooting a fresh one.
+    result, where the caller adopts it into its own trace
+    (:meth:`repro.obs.spans.Tracer.adopt`).
     """
     job = CompileJob.from_wire(wire)
-    remote = parse_traceparent(traceparent)
-    with obs.span(
-        "engine.job", remote=remote, tag=job.tag, key=key[:12], worker=True
-    ) as job_span:
+    with obs.span("engine.job", tag=job.tag, key=key[:12], worker=True) as job_span:
         result = _timed_run(job, key, timeout)
         entry = None
         if result.ok:
@@ -259,10 +248,9 @@ def pool_failure(
     breaks the whole pool: every outstanding call raises
     ``BrokenProcessPool``. That says nothing about the job, so the
     answer is None, "retry", until the job has had
-    :data:`WORKER_RETRIES` retries; then it is ``WORKER_DIED``. Callers
-    run each retry on a one-worker pool of its own, so a job that kills
-    its worker every time takes no other job down with it. Anything
-    else the worker raised is deterministic and ``INTERNAL`` at once.
+    :data:`WORKER_RETRIES` retries; then it is ``WORKER_DIED``.
+    Anything else the worker raised is deterministic and ``INTERNAL``
+    at once.
     """
     if not isinstance(exc, BrokenProcessPool):
         return JobResult(
@@ -289,6 +277,98 @@ def pool_failure(
     )
 
 
+class CompilePool:
+    """The process pool a batch's misses and a server's compiles run on.
+
+    :meth:`run` compiles one job in a worker (:func:`execute_wire`),
+    adopts the worker's spans under the caller's span, and decodes and
+    stores the worker's entry (:func:`accept_entry`). A worker process
+    dying breaks the whole shared pool, so every job outstanding on it
+    fails at once: the first job to see the broken pool replaces it,
+    and each such job is retried, as :func:`pool_failure` rules, on a
+    one-worker pool of its own, ``workers`` of them at a time. So only
+    a job whose own compile kills its worker ends ``WORKER_DIED``, and
+    a batch or a server goes on compiling. Retry pools start their
+    worker the way the shared pool does, so a retry runs the job as its
+    first try did, and each is joined once its job is done.
+
+    Args:
+        workers: worker processes of the shared pool.
+        cache: the store each job's entry is written to.
+        timeout: per-job wall-clock seconds, enforced in the worker.
+    """
+
+    def __init__(
+        self, workers: int, cache: ResultCache, timeout: float | None
+    ) -> None:
+        # asyncio is imported where a pool runs, so importing the engine
+        # (as every CLI command does) does not pay for it.
+        import asyncio
+
+        self.workers = workers
+        self.cache = cache
+        self.timeout = timeout
+        self._shared = ProcessPoolExecutor(max_workers=workers)
+        self._alone = asyncio.Semaphore(workers)
+
+    async def run(self, job: CompileJob, key: str, parent) -> JobResult:
+        """``job``'s result, compiled under ``key``; never raises.
+
+        ``parent`` is the caller's open span (a no-op one while tracing
+        is off): the worker's spans are adopted under it, with its trace
+        id. A failed pool call's ``duration`` is the time since the job
+        was handed to the pool.
+        """
+        started = time.perf_counter()
+        wire = job.to_wire()
+        attempt = 1
+        while True:
+            try:
+                done, entry = await self._call(wire, key, alone=attempt > 1)
+                break
+            except Exception as exc:
+                failed = pool_failure(exc, key, job.tag, attempt)
+                if failed is not None:
+                    failed.duration = time.perf_counter() - started
+                    return failed
+                attempt += 1
+        if done.spans and parent.trace_id:
+            obs.tracer().adopt(done.spans, parent.span_id, parent.trace_id)
+        done.spans = []
+        return accept_entry(done, entry, job.ddg, self.cache)
+
+    async def _call(
+        self, wire: dict, key: str, alone: bool
+    ) -> tuple[JobResult, bytes | None]:
+        """One try on the shared pool or, when ``alone``, on a one-worker
+        pool of its own: what :func:`execute_wire` returned. Raises what
+        the pool call raised."""
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        call = (execute_wire, wire, key, self.timeout)
+        if not alone:
+            shared = self._shared
+            try:
+                return await loop.run_in_executor(shared, *call)
+            except BrokenProcessPool:
+                if self._shared is shared:  # the first job to see it
+                    self._shared = ProcessPoolExecutor(max_workers=self.workers)
+                    await asyncio.to_thread(shared.shutdown)
+                raise
+        async with self._alone:
+            pool = ProcessPoolExecutor(max_workers=1)
+            try:
+                return await loop.run_in_executor(pool, *call)
+            finally:
+                await asyncio.to_thread(pool.shutdown)
+
+    def shutdown(self, wait: bool) -> None:
+        """Stop the shared pool: join its workers when ``wait``, else
+        cancel the jobs not yet started and return at once."""
+        self._shared.shutdown(wait=wait, cancel_futures=not wait)
+
+
 def event_for_result(result: JobResult) -> Event:
     """Terminal event matching a job result."""
     kind = {
@@ -313,7 +393,12 @@ def run_jobs(
     config: EngineConfig | None = None,
     bus: EventBus | None = None,
 ) -> list[JobResult]:
-    """Run a batch through cache + executor; results in input order."""
+    """Run a batch through cache + executor; results in input order.
+
+    A batch with misses and ``jobs > 1`` drives its pool with
+    :func:`asyncio.run`, so it must not be called from a running event
+    loop.
+    """
     config = config or EngineConfig()
     bus = bus or EventBus()
     cache = config.resolved_cache()
@@ -353,99 +438,25 @@ def run_jobs(
                 if results[index].ok:
                     cache.put(keys[index], results[index].result)
         elif pending:
-            traceparent = (
-                format_traceparent(batch.context) if batch.trace_id else None
-            )
-            _run_pool(
-                jobs,
-                keys,
-                pending,
-                results,
-                workers,
-                timeout,
-                bus,
-                cache,
-                traceparent,
-            )
+            import asyncio
+
+            for index in pending:
+                bus.emit(
+                    Event(kind=EventKind.STARTED, key=keys[index], tag=jobs[index].tag)
+                )
+            pool = CompilePool(min(workers, len(pending)), cache, timeout)
+
+            async def run_pending() -> list[JobResult]:
+                return await asyncio.gather(
+                    *(pool.run(jobs[i], keys[i], batch) for i in pending)
+                )
+
+            try:
+                for index, result in zip(pending, asyncio.run(run_pending())):
+                    results[index] = result
+            finally:
+                pool.shutdown(wait=True)
 
         for index in pending:
-            result = results[index]
-            if result.spans:
-                # Worker-side spans: re-parent this job's span tree (its
-                # root is the worker's ``engine.job``) under the batch.
-                obs.tracer().adopt(
-                    result.spans,
-                    parent_id=batch.span_id or None,
-                    trace_id=batch.trace_id,
-                )
-                result.spans = []
-            bus.emit(event_for_result(result))
+            bus.emit(event_for_result(results[index]))
     return results  # type: ignore[return-value] — every slot is filled
-
-
-def _run_pool(
-    jobs: list[CompileJob],
-    keys: list[str],
-    pending: list[int],
-    results: list[JobResult | None],
-    workers: int,
-    timeout: float | None,
-    bus: EventBus,
-    cache: ResultCache,
-    traceparent: str | None = None,
-) -> None:
-    """Fan pending jobs out over worker processes.
-
-    A worker that dies breaks the whole pool, so every job outstanding
-    on it fails at once. Each such job is retried, as :func:`pool_failure`
-    rules, on a one-worker pool of its own (``workers`` of them at a
-    time), so only a job whose own compile kills its worker ends
-    ``WORKER_DIED``, and the batch always completes. Retry pools start
-    their workers the way the first pool did, so a retry runs the job
-    as its first try did. Each job's entry is decoded against its own
-    DDG and stored as it arrives (:func:`accept_entry`).
-    """
-
-    def run(group: list[int], pool_for, attempt: int) -> list[int]:
-        """Run ``group``, each job on ``pool_for()``; the jobs to retry."""
-        futures = []
-        for index in group:
-            bus.emit(
-                Event(kind=EventKind.STARTED, key=keys[index], tag=jobs[index].tag)
-            )
-            futures.append(
-                pool_for().submit(
-                    execute_wire,
-                    jobs[index].to_wire(),
-                    keys[index],
-                    timeout,
-                    traceparent,
-                )
-            )
-        retry = []
-        for index, future in zip(group, futures):
-            try:
-                done, entry = future.result()
-            except Exception as exc:
-                results[index] = pool_failure(
-                    exc, keys[index], jobs[index].tag, attempt
-                )
-                if results[index] is None:
-                    retry.append(index)
-            else:
-                results[index] = accept_entry(done, entry, jobs[index].ddg, cache)
-        return retry
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-        retry = run(pending, lambda: pool, 1)
-    attempt = 1
-    while retry:
-        attempt += 1
-        wave, retry = retry, []
-        for at in range(0, len(wave), workers):
-            with contextlib.ExitStack() as alone:
-                retry += run(
-                    wave[at : at + workers],
-                    lambda: alone.enter_context(ProcessPoolExecutor(max_workers=1)),
-                    attempt,
-                )

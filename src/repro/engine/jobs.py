@@ -237,12 +237,13 @@ class JobResult:
     ``TIMEOUT`` outcomes mean the per-job wall-clock budget expired.
     ``error_kind`` classifies the failure (II-bound exhaustion vs bad
     input vs infrastructure) so consumers need not parse the text.
-    ``spans`` carries the worker process's finished trace spans (wire
-    dicts; empty unless ``REPRO_TRACE`` is on) back to the engine,
-    which re-parents them under the batch span — see
-    :mod:`repro.obs.spans`. A pool worker's result crosses back without
-    its ``result``: the compiled result travels as its store entry,
-    which the caller decodes into ``result``
+    ``spans`` carries a pool worker's finished trace spans (wire dicts;
+    empty unless ``REPRO_TRACE`` is on) back to the
+    :class:`~repro.engine.executor.CompilePool`, which adopts them into
+    the caller's trace (under the batch's ``engine.run_jobs`` span or
+    serve's ``serve.job``) and empties the list. A pool worker's result
+    crosses back without its ``result``: the compiled result travels as
+    its store entry, which the pool decodes into ``result``
     (:func:`repro.engine.executor.accept_entry`).
     """
 

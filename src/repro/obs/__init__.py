@@ -8,7 +8,7 @@ A zero-dependency observability layer with three pieces:
   executor, every pipeline pass, the II-escalation loop, the modulo
   scheduler and the partitioner's coarsen/refine stages are
   instrumented; worker-process spans ship back through ``JobResult``
-  and are re-parented under their engine job's span.
+  and are adopted into the trace of the span that waited for them.
 * **Metrics** (:mod:`repro.obs.metrics`): typed counters, gauges and
   log-bucketed histograms behind a :class:`MetricsRegistry`, replacing
   the ad-hoc counter dicts previously threaded through the pipeline.

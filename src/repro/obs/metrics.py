@@ -3,8 +3,7 @@
 * :class:`Counter` — monotonically increasing total (``inc``);
 * :class:`Gauge` — last-value-wins measurement (``set``);
 * :class:`Histogram` — distribution over **fixed log-scale buckets**
-  (default: powers of 4 seconds from 1 µs), cheap enough for hot paths
-  and mergeable across processes because the bounds never move.
+  (default: powers of 4 seconds from 1 µs), cheap enough for hot paths.
 
 A :class:`MetricsRegistry` owns instruments by name; :meth:`snapshot`
 flattens everything into the plain ``dict[str, float]`` that
@@ -34,7 +33,6 @@ import contextvars
 import threading
 
 #: Default histogram bounds: log-scale (powers of 4) seconds, 1 µs .. ~4.4 ks.
-#: Fixed so histograms recorded by different processes merge bucket-wise.
 LOG_SECONDS_BOUNDS: tuple[float, ...] = tuple(1e-6 * 4**i for i in range(17))
 
 
@@ -115,27 +113,12 @@ class Histogram:
                 return self.max
         return self.max
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (same bounds) into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge differing bounds"
-            )
-        for index, bucket in enumerate(other.counts):
-            self.counts[index] += bucket
-        self.count += other.count
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
-
     def to_wire(self) -> dict:
         """Lossless JSON form: buckets + exact count/sum/max + quantiles.
 
         The typed counterpart of the :meth:`MetricsRegistry.snapshot`
         flatten (which drops the bucket vector): ``bounds``/``counts``
-        carry the full distribution so consumers can merge histograms
-        or recompute quantiles over deltas, and p50/p95/p99 come
-        precomputed for dashboards.
+        carry the full distribution, and p50/p95/p99 come precomputed.
         """
         return {
             "type": "histogram",
@@ -148,16 +131,6 @@ class Histogram:
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
         }
-
-    @staticmethod
-    def from_wire(record: dict, name: str = "") -> "Histogram":
-        """Rebuild a histogram from :meth:`to_wire` output."""
-        histogram = Histogram(name or "histogram", tuple(record["bounds"]))
-        histogram.counts = [int(c) for c in record["counts"]]
-        histogram.count = int(record["count"])
-        histogram.total = float(record["sum"])
-        histogram.max = float(record["max"])
-        return histogram
 
 
 class MetricsRegistry:

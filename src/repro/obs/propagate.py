@@ -6,11 +6,11 @@ W3C-``traceparent``-style header::
     traceparent: 00-<32 hex trace id>-<16 hex span id>-01
 
 The serve client injects it on every HTTP request when a span is open
-(:func:`repro.obs.spans.current_context`), the server extracts it and
-opens its ``serve.request`` span with ``remote=ctx``, and the job
-manager forwards the same string to compile workers — so one submitted
-job yields one stitched trace spanning client, server, and worker
-processes.
+(:func:`repro.obs.spans.current_context`), and the server extracts it
+and opens its ``serve.request`` span with ``remote=ctx``. The compile
+worker's spans are adopted into that trace when they come back
+(:meth:`repro.obs.spans.Tracer.adopt`) — so one submitted job yields
+one stitched trace spanning client, server, and worker processes.
 
 Parsing is forgiving by design: a malformed or absent header yields
 ``None`` and the receiver simply roots a fresh trace. Propagation must
@@ -23,7 +23,7 @@ import re
 
 from repro.obs.spans import SpanContext
 
-#: Header (and wire-dict key) carrying the caller's span context.
+#: Header carrying the caller's span context.
 TRACEPARENT_HEADER = "traceparent"
 
 _TRACEPARENT_RE = re.compile(

@@ -315,26 +315,7 @@ class Tracer:
         with self._lock:
             self._finished.append(span)
 
-    # -- manual + cross-process records ---------------------------------
-
-    def record(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        parent_id: int | None = None,
-        trace_id: str = "",
-        **attrs,
-    ) -> Span:
-        """Append an already-measured span (no context manager)."""
-        with self._lock:
-            span_id = next(self._ids)
-        span = Span(name, span_id, parent_id, attrs, tracer=None, trace_id=trace_id)
-        span.start = start
-        span.duration = duration
-        with self._lock:
-            self._finished.append(span)
-        return span
+    # -- cross-process records ------------------------------------------
 
     def adopt(
         self,
@@ -342,16 +323,16 @@ class Tracer:
         parent_id: int | None,
         trace_id: str = "",
     ) -> list[Span]:
-        """Ingest spans shipped from another process.
+        """Ingest spans shipped from another process into the caller's
+        trace.
 
         Ids are remapped onto this tracer's sequence (worker-local ids
         could collide across workers); internal parent links are
         preserved and every *root* of the shipped batch is re-parented
-        under ``parent_id`` — this is how worker-side pass spans end up
-        under their engine job's span. A span's own ``trace_id`` is
-        preserved when present (workers that received a propagated
-        context already stamp the right trace); spans without one take
-        ``trace_id``.
+        under ``parent_id``, and every adopted span takes the caller's
+        ``trace_id``, whatever trace it was recorded in. This is how a
+        pool worker's job and pass spans join the trace of the span
+        that waited for them (see :class:`repro.engine.executor.CompilePool`).
         """
         spans = [Span.from_wire(record) for record in wire_spans]
         with self._lock:
@@ -362,8 +343,7 @@ class Tracer:
                 span.parent_id = remap[span.parent_id]
             else:
                 span.parent_id = parent_id
-            if not span.trace_id:
-                span.trace_id = trace_id
+            span.trace_id = trace_id
         with self._lock:
             self._finished.extend(spans)
         return spans

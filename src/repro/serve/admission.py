@@ -20,6 +20,10 @@ import threading
 
 from repro.obs.metrics import MetricsRegistry
 
+#: Back-off hint, in seconds, handed to every refused submission (the
+#: HTTP ``Retry-After`` header).
+RETRY_AFTER_SECONDS = 1.0
+
 
 @dataclasses.dataclass(frozen=True)
 class AdmissionDecision:
@@ -51,7 +55,6 @@ class AdmissionController:
     Args:
         max_queue: total admitted-but-unfinished jobs allowed (>=1).
         max_inflight_per_client: admitted jobs one client id may hold.
-        retry_after: back-off hint handed to rejected clients.
         metrics: shared registry; one is created when omitted.
     """
 
@@ -59,7 +62,6 @@ class AdmissionController:
         self,
         max_queue: int = 256,
         max_inflight_per_client: int = 16,
-        retry_after: float = 1.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_queue < 1:
@@ -68,7 +70,6 @@ class AdmissionController:
             raise ValueError("max_inflight_per_client must be >= 1")
         self.max_queue = max_queue
         self.max_inflight_per_client = max_inflight_per_client
-        self.retry_after = retry_after
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scoped = self.metrics.scoped("admission")
         self._lock = threading.Lock()
@@ -93,17 +94,17 @@ class AdmissionController:
         with self._lock:
             if self._draining:
                 decision = AdmissionDecision(
-                    False, reason="draining", retry_after=self.retry_after
+                    False, reason="draining", retry_after=RETRY_AFTER_SECONDS
                 )
             elif self._depth >= self.max_queue:
                 decision = AdmissionDecision(
-                    False, reason="queue_full", retry_after=self.retry_after
+                    False, reason="queue_full", retry_after=RETRY_AFTER_SECONDS
                 )
             elif (
                 self._per_client.get(client, 0) >= self.max_inflight_per_client
             ):
                 decision = AdmissionDecision(
-                    False, reason="client_capped", retry_after=self.retry_after
+                    False, reason="client_capped", retry_after=RETRY_AFTER_SECONDS
                 )
             else:
                 self._depth += 1

@@ -11,24 +11,21 @@ HTTP front end and the existing engine machinery. Per submission it:
    capacity);
 3. otherwise asks the :class:`~repro.serve.admission.AdmissionController`
    for a slot (the HTTP layer turns a refusal into 429/503) and
-   schedules the compile on a persistent ``ProcessPoolExecutor``
-   running the engine's own worker entry point
-   (:func:`repro.engine.executor.execute_wire`). A pool call that
-   raised follows the batch engine's rule
-   (:func:`repro.engine.executor.pool_failure`): the broken pool is
-   replaced, and a job whose worker died is retried once on a
-   one-worker pool of its own, so one dead worker never stops the
-   server compiling and a job that kills its worker fails alone;
-4. decodes the worker's sealed store entry once, against the
-   submitted job's DDG, and stores the same bytes
-   (:func:`repro.engine.executor.accept_entry`);
+   awaits the compile on the manager's
+   :class:`~repro.engine.executor.CompilePool`, the one a batch of
+   :func:`~repro.engine.executor.run_jobs` runs its misses on, kept for
+   the manager's whole life: one dead worker never stops the server
+   compiling, and a job that kills its worker fails alone;
+4. gets back the result with the worker's entry decoded against the
+   submitted job's DDG and stored unchanged, and the worker's spans
+   adopted under the ``serve.job`` span;
 5. emits the same structured :class:`repro.engine.events.Event` stream
    the batch engine produces (``started``/``finished``/``cache_hit``/
    ``timeout``/``error``) to an :class:`~repro.engine.events.EventBus`
    *and* to per-job histories that HTTP clients can stream as NDJSON.
 
 A finished record keeps only its status fields (:class:`JobSummary`),
-computed once: no result, wire payload or DDG. At most
+computed once: no result and no job. At most
 :data:`MAX_DONE_RECORDS` finished records are held; past that the
 oldest are evicted, and a later request for an evicted key answers
 from the store (:meth:`JobManager.lookup`), as for any key the server
@@ -46,23 +43,14 @@ import collections
 import dataclasses
 import enum
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from repro.ddg.graph import Ddg
 from repro.engine.cache import ResultCache
 from repro.engine.events import Event, EventBus, EventKind
-from repro.engine.executor import (
-    accept_entry,
-    event_for_result,
-    execute_wire,
-    pool_failure,
-)
+from repro.engine.executor import CompilePool, event_for_result
 from repro.engine.fingerprint import result_fingerprint
 from repro.engine.jobs import CompileJob, ErrorKind, JobResult, Outcome
 from repro.obs import spans as obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.propagate import format_traceparent
-from repro.obs.spans import SpanContext
 from repro.serve.admission import AdmissionController, AdmissionDecision
 
 #: Most finished records a manager holds, a few KB each. It is above the
@@ -132,17 +120,10 @@ class JobRecord:
     client: str
     status: JobStatus
     submitted_at: float
-    # What a compile needs, dropped when the job finishes: the payload
-    # a worker rebuilds the job from (a retry after a worker death sends
-    # it again) and the submitted DDG the worker's entry is decoded
-    # against.
-    wire: dict | None = None
-    ddg: Ddg | None = None
+    # The submitted job, which a compile needs (its DDG is the one the
+    # worker's entry is decoded against), dropped when the job finishes.
+    job: CompileJob | None = None
     summary: JobSummary | None = None
-    # The submitting request's span context (None when tracing is off
-    # or the submission came from outside any span): the ``serve.job``
-    # span parents under it, stitching the job into the caller's trace.
-    ctx: SpanContext | None = None
     # Trace position stamped onto this record's events (the NDJSON
     # stream): the serve.job span once running, else the submit context.
     trace: str = ""
@@ -204,8 +185,6 @@ class JobManager:
     ) -> None:
         self.cache = cache
         self.admission = admission if admission is not None else AdmissionController()
-        self._workers = workers
-        self.timeout = timeout
         self.bus = bus if bus is not None else EventBus()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._scoped = self.metrics.scoped("serve")
@@ -213,9 +192,7 @@ class JobManager:
         # Keys of the finished records in ``records``, oldest first.
         self._done: collections.deque[str] = collections.deque()
         self._tasks: set[asyncio.Task] = set()
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-        # Retries run on one-worker pools of their own, ``workers`` at a time.
-        self._alone = asyncio.Semaphore(workers)
+        self.pool = CompilePool(workers, cache, timeout)
 
     # -- submission ------------------------------------------------------
 
@@ -260,9 +237,7 @@ class JobManager:
             client=client,
             status=JobStatus.QUEUED,
             submitted_at=time.time(),
-            wire=job.to_wire(),
-            ddg=job.ddg,
-            ctx=ctx,
+            job=job,
             trace=ctx.trace_id if ctx else "",
             span=ctx.span_id if ctx else 0,
         )
@@ -283,7 +258,6 @@ class JobManager:
             client=client,
             status=JobStatus.DONE,
             submitted_at=time.time(),
-            ctx=ctx,
             trace=ctx.trace_id if ctx else "",
             span=ctx.span_id if ctx else 0,
         )
@@ -299,7 +273,7 @@ class JobManager:
         """Make ``record`` DONE with ``result``'s status fields, drop
         what only a compile needed, and evict past the bound."""
         record.summary = JobSummary.of(result)
-        record.wire = record.ddg = None
+        record.job = None
         record.status = JobStatus.DONE
         self._emit(record, event_for_result(result))
         record.done.set()
@@ -313,87 +287,24 @@ class JobManager:
 
     async def _run(self, record: JobRecord) -> None:
         record.status = JobStatus.RUNNING
-        # The serve.job span: child of the submitting serve.request
-        # span (still open in this task's copied contextvars context —
-        # create_task snapshots it — with record.ctx as the cross-call
-        # fallback), parent of the worker's engine.job span.
-        job_span = obs.span(
-            "serve.job", remote=record.ctx, tag=record.tag, key=record.key[:12]
-        )
+        # The serve.job span: child of the submitting serve.request span
+        # (still open in this task's copied contextvars context —
+        # create_task snapshots it), parent of the worker's spans.
+        job_span = obs.span("serve.job", tag=record.tag, key=record.key[:12])
         job_span.__enter__()
         if job_span.trace_id:
             record.trace = job_span.trace_id
             record.span = job_span.span_id
-        traceparent = (
-            format_traceparent(job_span.context) if job_span.trace_id else None
-        )
         self._emit(
             record, Event(kind=EventKind.STARTED, key=record.key, tag=record.tag)
         )
-        started = time.perf_counter()
-        result: JobResult | None = None
-        entry: bytes | None = None
-        attempt = 0
-        while result is None:
-            shared = self._pool if attempt == 0 else None
-            try:
-                result, entry = await self._attempt(record, traceparent, shared)
-            except Exception as exc:
-                attempt += 1
-                result = pool_failure(exc, record.key, record.tag, attempt)
-                if result is not None:
-                    result.duration = time.perf_counter() - started
-                elif shared is not None:
-                    self._renew_pool(shared)
-        if result.spans:
-            # Workers ship their span trees back; re-parent them under
-            # the serve.job span so the whole request is one stitched
-            # trace. (Workers given a traceparent already stamp the
-            # right trace id; trace_id= covers those that weren't.)
-            obs.tracer().adopt(
-                result.spans,
-                parent_id=job_span.span_id or None,
-                trace_id=job_span.trace_id,
-            )
-            result.spans = []
-        result = accept_entry(result, entry, record.ddg, self.cache)
+        result = await self.pool.run(record.job, record.key, job_span)
         self._scoped.counter("compiled").inc()
         self._scoped.histogram("job_seconds").observe(result.duration)
         job_span.set(outcome=result.outcome.value)
         job_span.finish(error=not result.ok)
         self.admission.release(record.client)
         self._finish(record, result)
-
-    async def _attempt(
-        self,
-        record: JobRecord,
-        traceparent: str | None,
-        shared: ProcessPoolExecutor | None,
-    ) -> tuple[JobResult, bytes | None]:
-        """One try of ``record``'s compile, on the ``shared`` pool or,
-        when None, on a one-worker pool of its own: what
-        :func:`~repro.engine.executor.execute_wire` returned. Raises
-        what the pool call raised."""
-        loop = asyncio.get_running_loop()
-        call = (execute_wire, record.wire, record.key, self.timeout, traceparent)
-        if shared is not None:
-            return await loop.run_in_executor(shared, *call)
-        async with self._alone:
-            alone = ProcessPoolExecutor(max_workers=1)
-            try:
-                return await loop.run_in_executor(alone, *call)
-            finally:
-                alone.shutdown(wait=False)
-
-    def _renew_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Replace the pool a dead worker broke, if nobody has yet.
-
-        Every job outstanding on a broken pool fails at once; the first
-        to get here starts the fresh pool for later submissions.
-        """
-        if self._pool is broken:
-            broken.shutdown(wait=False, cancel_futures=True)
-            self._pool = ProcessPoolExecutor(max_workers=self._workers)
 
     def _emit(self, record: JobRecord, event: Event) -> None:
         if event.timestamp == 0.0:
@@ -449,5 +360,5 @@ class JobManager:
         pending = [task for task in self._tasks if not task.done()]
         if pending:
             await asyncio.wait(pending, timeout=timeout)
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        self.pool.shutdown(wait=False)
         self.bus.close()

@@ -113,7 +113,6 @@ class ServeConfig:
     timeout: float | None = None
     queue_limit: int = 256
     max_inflight: int = 16
-    retry_after: float = 1.0
 
     def resolved_data_dir(self) -> pathlib.Path:
         """Result store root (default: the engine's local cache root)."""
@@ -131,7 +130,6 @@ def build_service(
     admission = AdmissionController(
         max_queue=config.queue_limit,
         max_inflight_per_client=config.max_inflight,
-        retry_after=config.retry_after,
         metrics=metrics,
     )
     manager = JobManager(

@@ -66,22 +66,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
-    def test_merge_requires_equal_bounds(self):
-        a = Histogram("t")
-        b = Histogram("t", bounds=(0.1, 1.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_folds_counts(self):
-        a, b = Histogram("t"), Histogram("t")
-        a.observe(1e-5)
-        b.observe(2e-2)
-        b.observe(3e-2)
-        a.merge(b)
-        assert a.count == 3
-        assert a.max == 3e-2
-        assert sum(a.counts) == 3
-
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
             Histogram("t", bounds=(1.0, 0.1))

@@ -108,12 +108,6 @@ class TestTracer:
         ids = [s.span_id for s in tracing.drain()]
         assert len(set(ids)) == len(ids)
 
-    def test_record_appends_a_measured_span(self, tracing):
-        span = tracing.record("manual", start=1.0, duration=0.5, note="x")
-        drained = tracing.drain()
-        assert drained[-1] is span
-        assert span.duration == 0.5 and span.attrs == {"note": "x"}
-
     def test_thread_spans_do_not_interleave(self, tracing):
         errors = []
 
@@ -185,3 +179,18 @@ class TestAdopt:
         local_ids = {s.span_id for s in local.drain()}
         assert adopted[0].span_id in local_ids
         assert len(local_ids) == 4  # no collision with the spacers
+
+    def test_shipped_spans_take_the_callers_trace_id(self):
+        remote = Tracer()
+        with remote.span("engine.job"):
+            with remote.span("pass.schedule"):
+                pass
+        shipped = remote.drain_wire()
+        assert {record["trace"] for record in shipped} != {""}
+        local = Tracer()
+        with local.span("serve.job") as job:
+            adopted = local.adopt(
+                shipped, parent_id=job.span_id, trace_id=job.trace_id
+            )
+        assert job.trace_id not in {record["trace"] for record in shipped}
+        assert [span.trace_id for span in adopted] == [job.trace_id] * 2

@@ -1,5 +1,7 @@
 """Tracing through the real pipeline and across worker processes."""
 
+import multiprocessing
+
 import pytest
 
 from repro.engine.cache import ResultCache
@@ -137,6 +139,10 @@ class TestCrossProcess:
         # Ids were remapped: unique across the adopted forest.
         ids = [s.span_id for s in spans]
         assert len(set(ids)) == len(ids)
+        # Adopted spans joined the batch's trace.
+        assert {s.trace_id for s in spans} == {batches[0].trace_id}
+        # The batch joined its workers before it returned.
+        assert multiprocessing.active_children() == []
 
     def test_serial_engine_places_jobs_under_the_batch(self, tracing):
         loops = benchmark_loops("mgrid", limit=2)

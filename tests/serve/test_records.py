@@ -1,7 +1,7 @@
 """What the server keeps of a job once it is done.
 
 A finished record holds its status fields only: the result itself is in
-the store, and the wire payload and the DDG go when the job finishes.
+the store, and the submitted job goes when the job finishes.
 The status document and the event stream stay field for field what a
 client saw before, and the oldest finished records past a fixed bound
 are evicted and answered from the store.
@@ -86,7 +86,7 @@ def test_done_records_keep_only_their_status(cluster):
     assert len(records) == 4
     for record in records:
         assert record.status is JobStatus.DONE
-        assert record.wire is None and record.ddg is None
+        assert record.job is None
         assert not _reaches(record, (CompileResult, JobResult, Ddg)), record.key
 
 

@@ -5,8 +5,8 @@ The distributed-tracing contract of the serve boundary: a client-side
 ``serve.job``, and the worker's ``engine.job`` (plus the pipeline pass
 spans under it) must share a single trace id and parent each other
 correctly — across the HTTP hop via the ``traceparent`` header, and
-across the process-pool hop via the worker's traceparent argument and
-the shipped-spans adopt path.
+across the process-pool hop by adopting the spans the worker ships
+back.
 
 ``ServeCluster`` runs client and server in one process, so their spans
 land in one tracer; the worker's spans travel back on the job result

@@ -42,6 +42,20 @@ class TestCompile:
         assert "daxpy" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["compile", "simulate", "asm"])
+def test_a_loop_that_cannot_compile_exits_1_naming_its_kind(
+    capsys, tmp_path, command
+):
+    """A loop the engine ends ``invalid_input`` is an error line and exit
+    1, not a ``CompileError`` traceback."""
+    path = tmp_path / "hollow.json"
+    path.write_text('{"name":"hollow","nodes":[],"edges":[]}')
+    assert main([command, "--loop", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: loop 'hollow' is empty (invalid_input)\n"
+
+
 class TestSimulate:
     def test_simulate_reports_ipc(self, capsys):
         main(["simulate", "--loop", "daxpy", "-n", "50"])
@@ -356,16 +370,16 @@ class TestTrace:
         self, capsys, tmp_path, monkeypatch
     ):
         """REPRO_TRACE output survives an unhandled exception."""
-        import repro.cli as cli
+        import repro.engine.jobs as jobs
         from repro.obs import spans as obs
         from repro.obs.export import read_trace
 
-        def boom(ddg, machine, scheme):
+        def boom(ddg, machine, **kwargs):
             with obs.span("doomed.pass"):
                 pass
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(cli, "compile_loop", boom)
+        monkeypatch.setattr(jobs, "compile_loop", boom)
         path = tmp_path / "crash.jsonl"
         monkeypatch.setenv(obs.TRACE_ENV, str(path))
         obs._refresh_from_env()
@@ -446,6 +460,7 @@ class TestParser:
             (["top"], "invalid choice: 'top'"),
             (["suite"], "invalid choice: 'suite'"),
             (["compile", "--no-replication"], "unrecognized arguments"),
+            (["dot", "--scheme", "baseline"], "unrecognized arguments"),
         ],
     )
     def test_removed_commands_and_flags_exit_2(self, capsys, argv, message):

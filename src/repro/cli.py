@@ -11,14 +11,15 @@ Commands:
 * ``golden`` — record or check every matrix cell's decisions against a
   golden file (``GOLDEN.jsonl``); see :mod:`repro.pipeline.golden`.
 * ``dot`` — emit Graphviz DOT for a loop (optionally partitioned).
-* ``trace`` — record a traced run of any other command, or analyse
-  existing trace files: flame summaries, per-stage histograms, trace
-  diffs, Chrome trace-event JSON for Perfetto / ``chrome://tracing``.
+* ``trace`` — analyse trace files: flame summaries, per-stage
+  histograms, trace diffs, Chrome trace-event JSON for Perfetto /
+  ``chrome://tracing``. ``REPRO_TRACE=<file>`` before any other command
+  records one.
 * ``serve`` — run the compilation service: an HTTP/JSON API over the
   persistent result cache (``--smoke`` boots an ephemeral server and
   verifies one job end-to-end).
 * ``cache`` — inspect or clear the persistent result cache
-  (``stats``, ``clear``, ``path``).
+  (``stats``: entries and bytes on disk; ``clear``; ``path``).
 
 Examples::
 
@@ -26,8 +27,8 @@ Examples::
     python -m repro simulate --machine 4c2b4l64r --loop daxpy -n 500
     python -m repro bench --machine 4c1b2l64r --benchmark su2cor --jobs 4
     python -m repro dot --loop dot_product --machine 2c1b2l64r --partition
-    python -m repro trace --summary --record -- bench --jobs 4
-    python -m repro trace run.jsonl --chrome run.chrome.json
+    REPRO_TRACE=run.jsonl python -m repro bench --jobs 4
+    python -m repro trace run.jsonl --summary --chrome run.chrome.json
     python -m repro trace --diff before.jsonl after.jsonl
     python -m repro serve --port 8774 --data-dir /var/lib/repro
     python -m repro serve --smoke
@@ -169,62 +170,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stage_breakdown(results) -> dict[str, float]:
-    """Aggregate per-stage compile seconds from result diagnostics.
-
-    Sourced from :class:`~repro.pipeline.driver.CompileDiagnostics`,
-    which travels with every (possibly cached) ``CompileResult`` — so a
-    warm run reports where the *original* compile time went.
-    """
-    totals: dict[str, float] = {}
-    for res in results:
-        if res.ok and res.result.diagnostics is not None:
-            for stage, seconds in res.result.diagnostics.stage_seconds.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-    return totals
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Linearly interpolated percentile of a non-empty sample."""
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q / 100.0 * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-def _stage_percentiles(results) -> dict[str, dict[str, float]]:
-    """Per-stage p50/p95 wall time across loops (one sample per job).
-
-    The totals in :func:`_stage_breakdown` show where the aggregate
-    time went; the percentiles show the *distribution* per compiled
-    loop, so a regression on the slow tail is visible without rerunning
-    under a profiler.
-    """
-    samples: dict[str, list[float]] = {}
-    for res in results:
-        if res.ok and res.result.diagnostics is not None:
-            for stage, seconds in res.result.diagnostics.stage_seconds.items():
-                samples.setdefault(stage, []).append(seconds)
-    return {
-        stage: {
-            "samples": len(values),
-            "p50_seconds": _percentile(values, 50.0),
-            "p95_seconds": _percentile(values, 95.0),
-        }
-        for stage, values in samples.items()
-    }
-
-
 def _counter_totals(results) -> dict[str, float]:
     """Sum diagnostics counters across jobs, then derive the rates.
 
-    Counters come from each compile's metrics registry; like the stage
-    times they travel with cached results, so warm runs report the
-    original compile effort. Compiles store only counts, so
+    Counters come from each compile's metrics registry and travel with
+    cached results, so warm runs report the original compile effort.
+    Compiles store only counts, so
     :func:`_with_rates` is the one definition of each rate.
     """
     totals: dict[str, float] = {}
@@ -334,9 +285,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     hits = sum(1 for r in results if r.cached)
     hit_rate = hits / len(results) if results else 0.0
-    stage_totals = _stage_breakdown(results)
-    stage_sum = sum(stage_totals.values()) or 1.0
-    stage_pcts = _stage_percentiles(results)
     counter_totals = _counter_totals(results)
 
     stats = cache.stats() if cache.enabled else None
@@ -363,18 +311,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "hit_rate": round(hit_rate, 6),
             "entries": stats.entries if stats else 0,
             "total_bytes": stats.total_bytes if stats else 0,
-        },
-        "stages": {
-            stage: {
-                "seconds": round(seconds, 6),
-                "share": round(seconds / stage_sum, 6),
-                "samples": stage_pcts[stage]["samples"],
-                "p50_seconds": round(stage_pcts[stage]["p50_seconds"], 6),
-                "p95_seconds": round(stage_pcts[stage]["p95_seconds"], 6),
-            }
-            for stage, seconds in sorted(
-                stage_totals.items(), key=lambda kv: -kv[1]
-            )
         },
         "counters": {
             name: round(value, 6)
@@ -403,25 +339,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             title="bench matrix",
         )
     )
-    if stage_totals:
-        print(
-            format_table(
-                ["stage", "seconds", "share %", "p50 ms", "p95 ms"],
-                [
-                    [
-                        stage,
-                        seconds,
-                        100.0 * seconds / stage_sum,
-                        1e3 * stage_pcts[stage]["p50_seconds"],
-                        1e3 * stage_pcts[stage]["p95_seconds"],
-                    ]
-                    for stage, seconds in sorted(
-                        stage_totals.items(), key=lambda kv: -kv[1]
-                    )
-                ],
-                title="per-stage compile time",
-            )
-        )
     if counter_totals:
         print(
             format_table(
@@ -462,41 +379,9 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Record a traced run, or analyse/convert existing trace files."""
-    from repro.obs import spans as obs
-    from repro.obs.export import read_trace, write_chrome_trace, write_spans
+    """Analyse or convert trace files (``REPRO_TRACE=<file>`` records one)."""
+    from repro.obs.export import read_trace, write_chrome_trace
     from repro.obs.summary import diff_summary, flame_summary, stage_summary
-
-    if args.record is not None:
-        command = list(args.record)
-        if command and command[0] == "--":
-            command = command[1:]
-        if not command:
-            # "--record -- bench ...": the explicit "--" ends option
-            # parsing, so argparse routed the command to the positional
-            # inputs instead of the REMAINDER.
-            command = list(args.inputs)
-        if not command:
-            print("trace --record needs a command, e.g. "
-                  "trace --record -- bench --jobs 4", file=sys.stderr)
-            return 2
-        if command[0] == "trace":
-            print("trace --record cannot record itself", file=sys.stderr)
-            return 2
-        # No default path: were one set, the inner ``main`` call's own
-        # trace-at-exit hook would drain the spans before we could.
-        with obs.force_enabled():
-            code = main(command)
-            spans = obs.tracer().drain_wire()
-        count = write_spans(spans, args.out)
-        print(f"wrote {count} spans to {args.out}")
-        if args.chrome:
-            events = write_chrome_trace(spans, args.chrome)
-            print(f"wrote {events} Chrome trace events to {args.chrome}")
-        if args.summary:
-            print(flame_summary(spans, top=args.top))
-            print(stage_summary(spans))
-        return code
 
     if args.diff:
         if len(args.inputs) != 2:
@@ -507,7 +392,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if not args.inputs:
-        print("trace needs trace files (or --record -- <command>)",
+        print("trace needs trace files (record one with REPRO_TRACE=<file>)",
               file=sys.stderr)
         return 2
     spans = [record for path in args.inputs for record in read_trace(path)]
@@ -580,10 +465,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(cache.root)
         return 0
     if args.action == "stats":
+        # This fresh instance has looked nothing up: print what is stored.
         stats = cache.stats()
         state = "enabled" if cache_enabled() else "disabled (REPRO_CACHE)"
         print(f"cache at {cache.root} [{state}]")
-        print(stats.summary())
+        print(f"{stats.entries} entries on disk ({stats.total_bytes / 1024:.0f} KiB)")
         return 0
     if args.action == "clear":
         removed = cache.clear()
@@ -753,27 +639,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="record or analyse compilation traces (flame, diff, Chrome)",
+        help="analyse compilation traces (flame, per-stage, diff, Chrome)",
     )
     p.add_argument(
         "inputs",
         nargs="*",
         metavar="TRACE",
         help="JSONL trace files to analyse",
-    )
-    p.add_argument(
-        "--record",
-        nargs=argparse.REMAINDER,
-        default=None,
-        metavar="CMD",
-        help="run another repro command with tracing on; consumes the "
-        "rest of the line, so put it last: --summary --record -- bench",
-    )
-    p.add_argument(
-        "--out",
-        default="trace.jsonl",
-        metavar="FILE",
-        help="where --record writes the JSONL trace (default: trace.jsonl)",
     )
     p.add_argument(
         "--summary",
@@ -856,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "action",
         choices=("stats", "clear", "path"),
-        help="stats: counters + disk usage; clear: delete entries; "
+        help="stats: entries and bytes on disk; clear: delete entries; "
         "path: print the resolved cache directory",
     )
     p.add_argument(
@@ -890,9 +762,11 @@ def main(argv: list[str] | None = None) -> int:
     When ``REPRO_TRACE`` names a file (any value other than the on/off
     words), the spans collected during the command are appended to it on
     the way out — so ``REPRO_TRACE=run.jsonl python -m repro bench``
-    records a trace without the ``trace`` wrapper. The flush runs in a
-    ``finally`` so a crashing command still leaves a parseable trace of
-    everything up to the failure — exactly when a trace is most wanted.
+    records the trace ``python -m repro trace run.jsonl`` renders (that
+    command only reads trace files, so it appends nothing). The flush
+    runs in a ``finally`` so a crashing command still leaves a parseable
+    trace of everything up to the failure — exactly when a trace is most
+    wanted.
     """
     args = build_parser().parse_args(argv)
     try:

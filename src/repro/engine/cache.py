@@ -27,7 +27,9 @@ the pickle (:func:`seal`). :func:`encode_entry` writes it and
   caller's may not;
 * ``rows``: the kernel, as ``(iid, start, bus)`` rows in the order of
   ``Kernel.ops``;
-* ``copy_latency_override`` and ``diagnostics``.
+* ``copy_latency_override``, and ``diagnostics``: the II trajectory
+  and the effort counters. No wall time is stored, so an entry a worker
+  builds is a pure function of its job.
 
 The same bytes are the process pool's wire: a worker encodes its
 verified result, and the parent decodes them against the job's own DDG
@@ -198,7 +200,6 @@ def encode_entry(result: CompileResult, key: str) -> bytes:
             None
             if diagnostics is None
             else {
-                "stage_seconds": dict(diagnostics.stage_seconds),
                 "ii_trajectory": list(diagnostics.ii_trajectory),
                 "counters": dict(diagnostics.counters),
             }

@@ -3,8 +3,9 @@
 Two :class:`~repro.pipeline.driver.CompileResult` objects for the same
 job must describe the *same schedule* whether they came from a local
 ``compile_loop`` call, a warm cache entry, or a remote serving layer —
-but their pickled bytes are not comparable (diagnostics carry wall-clock
-stage times that differ run to run). :func:`result_fingerprint` hashes
+but their diagnostics are not comparable (an in-process compile's
+analysis-memo counters depend on whether the process has analysed that
+graph object before). :func:`result_fingerprint` hashes
 the decision-relevant content only: the scheme, the II/MII, the full
 scheduled kernel, the cluster assignment and the replication plan. The
 serving layer exposes it on job-status responses so a client can assert
@@ -23,7 +24,7 @@ from repro.pipeline.driver import CompileResult
 def result_canonical(result: CompileResult) -> dict:
     """JSON-ready dict of everything decision-relevant about a result.
 
-    Deliberately excludes ``diagnostics`` (timings vary run to run) and
+    Deliberately excludes ``diagnostics`` (effort, not decisions) and
     anything derivable from the included fields. Clusters and the
     plan's node sets are listed by node position in the DDG's node
     order, as the result store keeps them: uids are not part of a job's

@@ -77,7 +77,9 @@ from repro.sim.verifier import VerificationError, verify_kernel
 #: anything is unpickled, so a damaged entry is a miss.
 #: v12: an entry stores its job key, and a read under any other key
 #: refuses it, so an intact entry at another key's path is a miss.
-ENGINE_SCHEMA_VERSION = 12
+#: v13: diagnostics lost the per-stage wall time (the pass spans hold
+#: it), so a worker's entry is a pure function of its job.
+ENGINE_SCHEMA_VERSION = 13
 
 
 @functools.lru_cache(maxsize=64)

@@ -465,7 +465,7 @@ def current_context() -> SpanContext | None:
 
 @contextlib.contextmanager
 def force_enabled(path: str | None = None):
-    """Temporarily enable tracing (tests and the ``trace`` CLI)."""
+    """Temporarily enable tracing (the tests' tracing fixtures)."""
     previous = os.environ.get(TRACE_ENV)
     enable(path)
     try:

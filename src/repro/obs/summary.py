@@ -109,9 +109,9 @@ def stage_summary(spans, prefix: str = PASS_PREFIX) -> str:
     """Per-stage duration histograms (fixed log-scale buckets).
 
     One :class:`~repro.obs.metrics.Histogram` per span name under
-    ``prefix`` (the pipeline pass spans by default); the *total* column
-    matches the corresponding ``CompileDiagnostics.stage_seconds``
-    aggregation, since both time exactly the pass ``run`` calls.
+    ``prefix`` (the pipeline pass spans by default, the one record of
+    per-stage compile time): exact count, total, mean and max, and
+    bucketed ~p50/~p90 that never exceed the max.
     """
     histograms: dict[str, Histogram] = {}
     for span in spans:

@@ -70,11 +70,14 @@ class Scheme(enum.Enum):
 
 @dataclasses.dataclass
 class CompileDiagnostics:
-    """Where one compilation spent its effort.
+    """What one compilation tried and counted.
+
+    Holds no wall time: each pass runs inside its ``pass.<name>`` span,
+    and a trace (``REPRO_TRACE=<file>``, rendered by ``repro trace``)
+    is where per-stage time is read. So a pool-built store entry is a
+    pure function of its job.
 
     Attributes:
-        stage_seconds: wall time per pass name, accumulated across every
-            II attempt.
         ii_trajectory: every II attempted, in order (strictly
             increasing; the last entry is the achieved II). Its length
             is the number of partition attempts.
@@ -89,18 +92,8 @@ class CompileDiagnostics:
             bench``.
     """
 
-    stage_seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     ii_trajectory: list[int] = dataclasses.field(default_factory=list)
     counters: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall time summed over all stages."""
-        return sum(self.stage_seconds.values())
-
-    def add_stage_time(self, stage: str, seconds: float) -> None:
-        """Accumulate wall time against a pass name."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
 
 @dataclasses.dataclass
@@ -115,9 +108,8 @@ class CompileResult:
         ii: the achieved initiation interval.
         causes: one :class:`FailureCause` per II increase along the way.
         scheme: which compiler variant produced this result.
-        diagnostics: per-stage wall time, the full II trajectory and the
-            compile's effort counters (None only for results built by
-            hand).
+        diagnostics: the full II trajectory and the compile's effort
+            counters (None only for results built by hand).
     """
 
     kernel: Kernel

@@ -16,9 +16,11 @@ kernel's bus ``copies``, and short digests of the ``partition``,
 ``plan`` and ``kernel`` sections of
 :func:`~repro.engine.fingerprint.result_canonical`. A cell that does
 not compile holds its ``error`` kind instead. Every
-:data:`SAMPLE_STRIDE`-th line also holds ``cycles``: the lockstep
-simulator's count for the loop's iteration count, which must also equal
-the kernel's analytic ``execution_cycles``.
+:data:`SAMPLE_STRIDE`-th line also holds ``cycles`` for the loop's
+iteration count, as :func:`~repro.sim.vliw.simulate` reports it: the
+simulator steps at most the first 3·SC+2 iterations to check the kernel's
+legality and takes ``cycles`` from the ``Texec`` model (the kernel's
+``execution_cycles``). So the sampled ``cycles`` pin that model.
 
 Lines run loop-major: each benchmark's first loop on every machine and
 scheme, then each benchmark's second loop, and so on. A
@@ -28,8 +30,8 @@ with the same sampled lines; ``check`` ignores lines past it.
 Every result also goes through the store's codec under its job key
 (:func:`~repro.engine.cache.encode_entry`, then
 :func:`~repro.engine.cache.decode_entry`). An entry that decodes to
-other decisions is a fault, as is a simulated count that differs from
-the analytic one. ``record`` writes nothing while any cell has a fault,
+other decisions is a fault, as is a sampled kernel the simulator
+rejects. ``record`` writes nothing while any cell has a fault,
 and ``check`` counts a faulty cell as differing.
 """
 

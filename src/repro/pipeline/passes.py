@@ -7,8 +7,10 @@ plan, placed graph, kernel); any pass may abort the attempt with a
 typed :class:`StageFailure` (or let a
 :class:`~repro.schedule.scheduler.ScheduleFailure` propagate), upon
 which the driver records the cause, asks :func:`next_ii` for the next
-II and retries. Per-pass wall time and the II trajectory accumulate in
-:class:`~repro.pipeline.driver.CompileDiagnostics` on the result.
+II and retries. Each pass runs inside its ``pass.<name>`` span, the one
+record of per-stage time; the II trajectory and the effort counters
+accumulate in :class:`~repro.pipeline.driver.CompileDiagnostics` on the
+result.
 
 Each compile counts its effort into its own
 :class:`~repro.obs.metrics.MetricsRegistry`, ``ctx.metrics``, which
@@ -26,7 +28,6 @@ during refinement; a new scheme is a new member plus a new row.
 from __future__ import annotations
 
 import dataclasses
-import time
 from collections.abc import Callable
 from typing import Protocol, runtime_checkable
 
@@ -153,7 +154,7 @@ class Pass(Protocol):
     A pass reads and mutates the :class:`CompilationContext`; it
     signals an infeasible II by raising :class:`StageFailure` (or
     letting a :class:`~repro.schedule.scheduler.ScheduleFailure`
-    propagate). ``name`` labels the per-stage timing bucket.
+    propagate). ``name`` names the pass's ``pass.<name>`` span.
     """
 
     name: str
@@ -416,8 +417,8 @@ def run_pass_pipeline(
 ) -> CompileResult:
     """Run a scheme's pass stack under the Figure 2 retry loop.
 
-    Starting at II = MII, the stack runs pass by pass (each timed into
-    the result's diagnostics); a failing pass records its cause and
+    Starting at II = MII, the stack runs pass by pass, each inside its
+    ``pass.<name>`` span; a failing pass records its cause and
     :func:`next_ii` picks the next II, up to the safety bound.
 
     The compile counts into a fresh registry, current for the whole
@@ -474,14 +475,8 @@ def _attempt_loop(
             with obs_span("pipeline.attempt", ii=ii) as attempt_span:
                 try:
                     for stage in stack:
-                        started = time.perf_counter()
                         with obs_span(f"pass.{stage.name}", ii=ii):
-                            try:
-                                stage.run(ctx)
-                            finally:
-                                ctx.diagnostics.add_stage_time(
-                                    stage.name, time.perf_counter() - started
-                                )
+                            stage.run(ctx)
                 except ATTEMPT_FAILURES as caught:
                     # A failed attempt is normal control flow, not a span
                     # error: record the cause and let the span close clean.

@@ -91,7 +91,7 @@ class TestCorruptionTolerance:
         self, store, compiled, stale_schema
     ):
         """Entries written under ANY earlier schema — v1 (pre-
-        diagnostics) through v11, each written here as a pickled
+        diagnostics) through v12, each written here as a pickled
         ``CompileResult`` without the digest v11 put in front — must
         read as misses and be evicted, never deserialised as-if
         current."""

@@ -140,7 +140,7 @@ class TestRoundTrip:
         with either replay on the other."""
         job = CompileJob(ddg=LOOPS[loop](), machine="4c1b2l64r", **VARIANTS[variant])
         result = run_job(job).result
-        assert result.diagnostics.counters and result.diagnostics.stage_seconds
+        assert result.diagnostics.counters and result.diagnostics.ii_trajectory
         raw = encode_entry(result, job.content_hash())
         entry = pickle.loads(unseal(raw))
         entry["diagnostics"] = dataclasses.asdict(result.diagnostics)

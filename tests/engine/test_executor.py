@@ -319,6 +319,29 @@ class TestEntryWire:
         assert result_fingerprint(decoded) == result_fingerprint(fresh)
         assert decoded.diagnostics.ii_trajectory == fresh.diagnostics.ii_trajectory
 
+    def test_a_job_run_twice_returns_identical_entry_bytes(self):
+        """An entry holds no wall time, and the worker rebuilds the loop
+        from the wire, so its analysis memo starts cold each time: the
+        entry is a pure function of the job."""
+        (loop,) = benchmark_loops("tomcatv", limit=1)
+        for scheme in Scheme:
+            job = CompileJob(ddg=loop.ddg, machine="4c1b2l64r", scheme=scheme)
+            key = job.content_hash()
+            (done, first), (_, second) = (
+                execute_wire(job.to_wire(), key, None) for _ in range(2)
+            )
+            assert done.outcome is Outcome.OK and first == second, scheme
+
+    def test_two_pool_fills_write_identical_stores(self, tmp_path):
+        _, jobs = suite_jobs("tomcatv", limit=3)
+        stored = []
+        for name in ("a", "b"):
+            store = ResultCache(root=tmp_path / name, enabled=True)
+            run_jobs(jobs, EngineConfig(jobs=2, cache=store))
+            stored.append({p.name: p.read_bytes() for p in store.root.rglob("*.pkl")})
+        assert len(stored[0]) == len(jobs)
+        assert stored[0] == stored[1]
+
     def test_errors_carry_no_entry(self):
         job = CompileJob(ddg=Ddg("hollow"), machine="2c1b2l64r", scheme=Scheme.BASELINE)
         done, entry = execute_wire(job.to_wire(), job.content_hash(), None)

@@ -51,12 +51,21 @@ class TestHistogram:
         }
         assert ratios == {4}
 
-    def test_quantile_is_a_bucket_upper_bound(self):
+    def test_quantile_never_exceeds_the_max(self):
         h = Histogram("t")
         for _ in range(100):
             h.observe(3e-6)  # lands in the (1e-6, 4e-6] bucket
-        assert h.quantile(0.5) == 4e-6
-        assert h.quantile(1.0) == 4e-6
+        assert h.quantile(0.5) == 3e-6
+        assert h.quantile(1.0) == 3e-6
+        assert h.to_wire()["p99"] == 3e-6
+
+    def test_quantile_is_the_covering_bucket_bound_below_the_max(self):
+        h = Histogram("t")
+        for value in [3e-6] * 10 + [1e-5] * 10 + [1e-3]:
+            h.observe(value)
+        assert h.quantile(0.25) == LOG_SECONDS_BOUNDS[1]  # 4 us
+        assert h.quantile(0.5) == LOG_SECONDS_BOUNDS[2]  # 16 us
+        assert h.quantile(1.0) == 1e-3  # its bucket's bound is 1.024 ms
 
     def test_quantile_edge_cases(self):
         h = Histogram("t")

@@ -8,7 +8,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.executor import EngineConfig, run_jobs
 from repro.engine.jobs import CompileJob
 from repro.obs import spans as obs
-from repro.obs.summary import aggregate
 from repro.pipeline.driver import Scheme, compile_loop
 from repro.pipeline.passes import run_pass_pipeline
 from repro.workloads.patterns import stencil5
@@ -46,15 +45,6 @@ class TestPipelineSpans:
                 assert by_id[span.parent_id].name == "pipeline.attempt"
             if span.name == "pipeline.attempt":
                 assert by_id[span.parent_id].name == "pipeline.compile"
-
-    def test_span_totals_agree_with_stage_seconds(self, tracing):
-        result = compile_loop(stencil5(), machine(), scheme=Scheme.REPLICATION)
-        stats = aggregate([s.to_wire() for s in tracing.drain()])
-        for stage, seconds in result.diagnostics.stage_seconds.items():
-            span_total = stats[f"pass.{stage}"].total
-            # Both time exactly the pass run() calls, so they agree to
-            # within the bookkeeping overhead around the clock calls.
-            assert span_total == pytest.approx(seconds, rel=0.25, abs=2e-3)
 
     def test_raising_pass_closes_its_span_with_error(self, tracing, monkeypatch):
         def explode(*args, **kwargs):

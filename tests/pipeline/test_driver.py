@@ -83,7 +83,6 @@ class TestCompileLoop:
         result = compile_loop(stencil5(), m2, scheme=Scheme.REPLICATION)
         assert result.diagnostics is not None
         assert result.diagnostics.ii_trajectory[-1] == result.ii
-        assert result.diagnostics.total_seconds >= 0.0
 
     def test_scheme_name_for_enum_results(self, m2):
         result = compile_loop(stencil5(), m2, scheme=Scheme.REPLICATION)

@@ -118,19 +118,14 @@ class TestSchemeConfigParity:
 
 
 class TestDiagnostics:
-    def test_stage_times_and_counts_recorded(self, m2):
+    def test_attempt_counts_recorded(self, m2):
         result = compile_loop(stencil5(), m2, scheme=Scheme.REPLICATION)
         diag = result.diagnostics
         assert diag is not None
-        assert set(diag.stage_seconds) <= {
-            "partition", "feasibility", "replicate", "place", "schedule"
-        }
-        assert "partition" in diag.stage_seconds
         # One partition (and refinement) per II attempt; only attempts
         # that pass the earlier stages reach the scheduler.
         assert diag.counters["partition.refine_calls"] == len(diag.ii_trajectory)
         assert 1 <= diag.counters["schedule.attempts"] <= len(diag.ii_trajectory)
-        assert all(s >= 0.0 for s in diag.stage_seconds.values())
 
     def test_trajectory_starts_at_mii_and_ends_at_ii(self, m2):
         result = compile_loop(stencil5(), m2, scheme=Scheme.BASELINE)
@@ -147,7 +142,6 @@ class TestDiagnostics:
         payload = dataclasses.asdict(result.diagnostics)
         json.dumps(payload)
         assert payload["ii_trajectory"] == result.diagnostics.ii_trajectory
-        assert result.diagnostics.total_seconds >= 0.0
 
 
 class TestEscalationPolicies:

@@ -198,14 +198,6 @@ class TestBench:
         assert "(100.0%)" in warm
         engine_cache.reset_default_cache()
 
-    def test_text_report_includes_stage_breakdown(self, capsys):
-        main(["bench", "--benchmark", "mgrid", "--machine", "2c1b2l64r",
-              "--limit", "2", "--jobs", "1", "--schemes", "baseline",
-              "--quiet", "--no-cache"])
-        out = capsys.readouterr().out
-        assert "per-stage compile time" in out
-        assert "schedule" in out and "partition" in out
-
     def test_json_format_is_machine_readable(self, capsys):
         import json
 
@@ -223,13 +215,8 @@ class TestBench:
         assert cell["scheme"] == "baseline"
         assert cell["ok"] == 2 and cell["failed"] == 0
         assert cell["ipc"] > 0
-        stages = payload["stages"]
-        assert "partition" in stages and "schedule" in stages
-        for stage in stages.values():
-            assert stage["seconds"] >= 0.0
-            assert 0.0 <= stage["share"] <= 1.0
-            assert stage["samples"] == 2
-            assert 0.0 <= stage["p50_seconds"] <= stage["p95_seconds"]
+        assert "stages" not in payload
+        assert payload["elapsed_seconds"] >= 0.0 and payload["counters"]
         assert payload["failures"] == []
 
     def test_schemes_filter_runs_registered_scheme(self, capsys):
@@ -243,7 +230,7 @@ class TestBench:
         )
         out = capsys.readouterr().out
         assert "repl-part" in out
-        assert "baseline" not in out.split("per-stage")[0]
+        assert "baseline" not in out.split("evaluator counters")[0]
 
     def test_schemes_filter_accepts_comma_separated(self, capsys):
         main(["bench", "--benchmark", "mgrid", "--machine", "2c1b2l64r",
@@ -276,23 +263,35 @@ class TestBench:
         assert "finished" in kinds or "cache_hit" in kinds
 
 
+COMPILE_DAXPY = ["compile", "--machine", "2c1b2l64r", "--loop", "daxpy"]
+
+
+def traced(monkeypatch, path, argv) -> int:
+    """``main(argv)`` with ``REPRO_TRACE=path``, which records its spans."""
+    from repro.obs import spans as obs
+
+    monkeypatch.setenv(obs.TRACE_ENV, str(path))
+    obs._refresh_from_env()
+    try:
+        return main(argv)
+    finally:
+        monkeypatch.delenv(obs.TRACE_ENV)
+        obs._refresh_from_env()
+        obs.tracer().drain()
+
+
 class TestTrace:
     def test_record_writes_trace_and_summary(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "run.jsonl"
         chrome_path = tmp_path / "run.chrome.json"
+        assert traced(monkeypatch, out_path, COMPILE_DAXPY) == 0
+        err = capsys.readouterr().err
+        assert "wrote" in err and "spans" in err
         code = main(
-            [
-                "trace",
-                "--summary",
-                "--out", str(out_path),
-                "--chrome", str(chrome_path),
-                "--record",
-                "compile", "--machine", "2c1b2l64r", "--loop", "daxpy",
-            ]
+            ["trace", str(out_path), "--summary", "--chrome", str(chrome_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "wrote" in out and "spans" in out
         assert "top" in out and "self time" in out
         assert out_path.exists() and chrome_path.exists()
 
@@ -303,38 +302,24 @@ class TestTrace:
         assert "pipeline.compile" in names
         assert any(name.startswith("pass.") for name in names)
 
-    def test_summary_of_an_existing_trace(self, capsys, tmp_path):
+    def test_summary_of_an_existing_trace(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.jsonl"
-        main(
-            [
-                "trace", "--out", str(path), "--record",
-                "compile", "--machine", "2c1b2l64r", "--loop", "daxpy",
-            ]
-        )
+        traced(monkeypatch, path, COMPILE_DAXPY)
         capsys.readouterr()
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "per-stage durations" in out
 
-    def test_diff_of_two_traces(self, capsys, tmp_path):
+    def test_diff_of_two_traces(self, capsys, tmp_path, monkeypatch):
         paths = []
         for index in range(2):
             path = tmp_path / f"t{index}.jsonl"
-            main(
-                [
-                    "trace", "--out", str(path), "--record",
-                    "compile", "--machine", "2c1b2l64r", "--loop", "daxpy",
-                ]
-            )
+            traced(monkeypatch, path, COMPILE_DAXPY)
             paths.append(str(path))
         capsys.readouterr()
         assert main(["trace", "--diff", *paths]) == 0
         out = capsys.readouterr().out
         assert "trace diff" in out
-
-    def test_record_without_command_errors(self, capsys):
-        assert main(["trace", "--record"]) == 2
-        assert "needs a command" in capsys.readouterr().err
 
     def test_diff_needs_two_files(self, capsys, tmp_path):
         assert main(["trace", "--diff", "only_one.jsonl"]) == 2
@@ -344,27 +329,12 @@ class TestTrace:
         assert main(["trace"]) == 2
         assert "trace files" in capsys.readouterr().err
 
-    def test_record_cannot_nest(self, capsys):
-        assert main(["trace", "--record", "trace", "x.jsonl"]) == 2
-        assert "cannot record itself" in capsys.readouterr().err
-
     def test_env_var_records_without_the_wrapper(self, capsys, tmp_path, monkeypatch):
-        from repro.obs import spans as obs
-
         path = tmp_path / "env.jsonl"
-        monkeypatch.setenv(obs.TRACE_ENV, str(path))
-        obs._refresh_from_env()
-        try:
-            assert main(
-                ["compile", "--machine", "2c1b2l64r", "--loop", "daxpy"]
-            ) == 0
-            err = capsys.readouterr().err
-            assert "wrote" in err and str(path) in err
-            assert path.exists()
-        finally:
-            monkeypatch.delenv(obs.TRACE_ENV)
-            obs._refresh_from_env()
-            obs.tracer().drain()
+        assert traced(monkeypatch, path, COMPILE_DAXPY) == 0
+        err = capsys.readouterr().err
+        assert "wrote" in err and str(path) in err
+        assert path.exists()
 
     def test_crashing_command_still_flushes_the_trace(
         self, capsys, tmp_path, monkeypatch
@@ -381,19 +351,12 @@ class TestTrace:
 
         monkeypatch.setattr(jobs, "compile_loop", boom)
         path = tmp_path / "crash.jsonl"
-        monkeypatch.setenv(obs.TRACE_ENV, str(path))
-        obs._refresh_from_env()
-        try:
-            with pytest.raises(RuntimeError, match="kaboom"):
-                main(["compile", "--machine", "2c1b2l64r", "--loop", "daxpy"])
-            err = capsys.readouterr().err
-            assert "wrote" in err and str(path) in err
-            records = read_trace(str(path))
-            assert any(record["name"] == "doomed.pass" for record in records)
-        finally:
-            monkeypatch.delenv(obs.TRACE_ENV)
-            obs._refresh_from_env()
-            obs.tracer().drain()
+        with pytest.raises(RuntimeError, match="kaboom"):
+            traced(monkeypatch, path, COMPILE_DAXPY)
+        err = capsys.readouterr().err
+        assert "wrote" in err and str(path) in err
+        records = read_trace(str(path))
+        assert any(record["name"] == "doomed.pass" for record in records)
 
 
 class TestSelfCheck:
@@ -437,6 +400,21 @@ class TestCache:
         assert "removed 1 entries" in capsys.readouterr().out
         assert list(tmp_path.rglob("*.pkl")) == []
 
+    def test_stats_prints_what_the_store_holds(self, capsys, tmp_path):
+        """The command's own cache instance has looked nothing up, so it
+        prints no hit or write counts."""
+        from repro.engine.cache import ResultCache
+        from repro.engine.jobs import CompileJob, run_job
+
+        job = CompileJob(ddg=daxpy(), machine="2c1b2l64r", scheme=Scheme.BASELINE)
+        ResultCache(root=tmp_path, enabled=True).put(
+            job.content_hash(), run_job(job).result
+        )
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 entries on disk" in out
+        assert "hits" not in out and "writes" not in out
+
 
 class TestServeCLI:
     def test_serve_smoke_exit_code(self, capsys):
@@ -461,6 +439,8 @@ class TestParser:
             (["suite"], "invalid choice: 'suite'"),
             (["compile", "--no-replication"], "unrecognized arguments"),
             (["dot", "--scheme", "baseline"], "unrecognized arguments"),
+            (["trace", "--record", "compile"], "unrecognized arguments"),
+            (["trace", "--out", "x.jsonl", "t.jsonl"], "unrecognized arguments"),
         ],
     )
     def test_removed_commands_and_flags_exit_2(self, capsys, argv, message):
